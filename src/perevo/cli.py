@@ -137,8 +137,7 @@ def cmd_sweep(args) -> int:
     _audit(spec, args.seed)
     lambdas = parse_lambda_list(args.lambdas)
     oracle = limit_monodromy(spec, pieces) if pieces else None
-    records = sweep(spec, lambdas, args.eps, tol=args.tol, oracle=oracle,
-                    threads=max(1, args.threads))
+    records = sweep(spec, lambdas, args.eps, tol=args.tol, oracle=oracle)
 
     rows = [(r.lam, r.r, r.mu, r.residual, r.s_eps_mass, r.dist_to_limit_L2,
              str(bool(r.trivial)).lower()) for r in records]
@@ -300,7 +299,6 @@ def _add_common(p):
     p.add_argument("target", nargs="?", help="builtin scenario name or config path")
     p.add_argument("--config", help="config document path (overrides target)")
     p.add_argument("--out", help="output directory (default perevo_out; PEREVO_OUT wins)")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     p.add_argument("--seed", type=int, default=0, help="seed for random-vector audits")
 
 

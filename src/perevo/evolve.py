@@ -11,6 +11,9 @@ inside L_j, so arbitrarily large lam never destabilizes the step.  For
 theta = 1 with the nonpositive off-diagonal sign pattern each L_j is an
 M-matrix and the step map is entrywise nonnegative; prepare() certifies this.
 
+prepare() factors every L_j once (LAPACK dgttrf); every later solve, and so
+every evolution, period map and kernel, reuses those factors through dgttrs.
+
 evolve_state applies the discrete evolution map between two levels.  Because
 a composed evolution is literally the same sequence of solves, splitting it
 at any intermediate level reproduces the direct result bit for bit.
@@ -23,11 +26,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from .model import ProblemSpec, coercivity_shift
-from .operator import assemble_A, assemble_penalty, mesh_peclet_ok
+from .operator import band_matvec, mesh_peclet_ok, stencil_bands
 
 __all__ = [
     "StepFactorization",
@@ -66,18 +69,21 @@ class ForcingField:
 
 @dataclass(frozen=True)
 class StepFactorization:
-    """Prepared step data for one penalty value over a full period.
+    """Factored step matrices for one penalty value over a full period.
 
-    ops[j] and penalties[j] hold the assembled operator and weight diagonal at
-    level j; banded_L[j] is the banded left matrix of step j (levels j -> j+1).
-    positivity certifies that every step map is entrywise nonnegative.
+    bands = (lower, diag, upper) and weight hold the stencil and the weight
+    samples m(x_i, t_j) as (M+1, n) arrays, row j at level j; lu = (dl, d, du,
+    du2, ipiv) stacks the dgttrf factors of L_j (levels j -> j+1) in row j.
+    positivity certifies that every step map is entrywise nonnegative: the
+    off-diagonals are nonpositive at every level, every L_j has positive row
+    sums (an M-matrix), and for theta < 1 the explicit diagonal is >= 0.
     """
 
     spec: ProblemSpec
     lam: float
-    ops: tuple
-    penalties: tuple
-    banded_L: tuple
+    bands: tuple
+    weight: np.ndarray
+    lu: tuple
     positivity: bool
     peclet_ok: bool
 
@@ -93,65 +99,65 @@ class StepFactorization:
     def tgrid(self):
         return self.spec.tgrid
 
+    def explicit(self, j: int, v: np.ndarray) -> np.ndarray:
+        """Right-hand side R_j v of step j (v itself when theta = 1)."""
+        if self.spec.theta >= 1.0:
+            return v
+        fac = (1.0 - self.spec.theta) * self.tgrid.dt
+        shape = (-1,) + (1,) * (v.ndim - 1)
+        Av = band_matvec(*(band[j] for band in self.bands), v)
+        return v - fac * (Av + self.lam * self.weight[j].reshape(shape) * v)
+
+    def solve(self, j: int, rhs: np.ndarray) -> np.ndarray:
+        """Solve L_j x = rhs (a vector, or a matrix of columns)."""
+        if self.n == 2:  # factored with a decoupled third row, see prepare()
+            rhs = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
+        return dgttrs(*(f[j] for f in self.lu), rhs)[0][:self.n]
+
     def step_once(self, j: int, v: np.ndarray) -> np.ndarray:
         """Apply the single step map from level j to level j+1."""
-        theta = self.spec.theta
-        rhs = v
-        if theta < 1.0:
-            fac = (1.0 - theta) * self.tgrid.dt
-            op = self.ops[j]
-            pen = self.penalties[j]
-            shape = (-1,) + (1,) * (v.ndim - 1)
-            rhs = v - fac * (op.matvec(v) + self.lam * pen.reshape(shape) * v)
-        try:
-            return solve_banded((1, 1), self.banded_L[j], rhs)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-            raise SingularStep(f"step {j} is singular: {exc}") from exc
+        return self.solve(j, self.explicit(j, v))
 
 
 def prepare(spec: ProblemSpec, lam: float) -> StepFactorization:
-    """Assemble and certify all step matrices for one penalty value."""
+    """Assemble, factor and certify all step matrices for one penalty value."""
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
-    M, n, dt, theta = spec.tgrid.M, spec.grid.n, spec.tgrid.dt, spec.theta
-
-    ops = tuple(assemble_A(spec, j) for j in range(M + 1))
-    penalties = tuple(assemble_penalty(spec, j).values for j in range(M + 1))
-
-    banded = []
+    M, dt, theta = spec.tgrid.M, spec.tgrid.dt, spec.theta
+    lower, diag, upper = stencil_bands(spec)
+    weight = np.ascontiguousarray(spec.weight.values[1:-1, :].T)
+    # L_j = I + theta dt (A + lam M) at level j+1, in dgttrf's band layout
+    s = theta * dt
+    dl = lower[1:, 1:] * s
+    d = diag[1:] * s + (1.0 + s * lam * weight[1:])
+    du = upper[1:, :-1] * s
+    finite = np.isfinite(dl).all(1) & np.isfinite(d).all(1) & np.isfinite(du).all(1)
+    if spec.grid.n == 2:
+        # dgttrf needs n >= 3: append an identity row that couples to nothing
+        dl, du = np.pad(dl, ((0, 0), (0, 1))), np.pad(du, ((0, 0), (0, 1)))
+        d = np.pad(d, ((0, 0), (0, 1)), constant_values=1.0)
+    du2, ipiv = np.empty((M, d.shape[1] - 2)), np.empty(d.shape, dtype=np.int32)
     for j in range(M):
-        op = ops[j + 1]
-        ab = op.to_banded() * (theta * dt)
-        ab[1, :] += 1.0 + theta * dt * lam * penalties[j + 1]
-        if not np.all(np.isfinite(ab)):
+        if not finite[j]:
             raise SingularStep(f"non-finite step matrix at step {j}")
-        banded.append(ab)
-        try:
-            solve_banded((1, 1), ab, np.ones(n))
-        except np.linalg.LinAlgError as exc:
-            raise SingularStep(f"factorization failed at step {j}: {exc}") from exc
+        dl[j], d[j], du[j], du2[j], ipiv[j], info = dgttrf(dl[j], d[j], du[j])
+        if info > 0:
+            raise SingularStep(f"factorization failed at step {j}: zero pivot {info}")
 
     peclet = mesh_peclet_ok(spec)
-    m_pattern = all(op.offdiag_nonpositive() for op in ops)
-    dominant = all(
-        np.all(1.0 + theta * dt * (ops[j + 1].row_sums() + lam * penalties[j + 1]) > 0.0)
-        for j in range(M)
-    )
+    m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
+    dominant = np.all(1.0 + s * (lower[1:] + diag[1:] + upper[1:] + lam * weight[1:]) > 0.0)
     explicit_ok = True
     if theta < 1.0:
-        explicit_ok = all(
-            np.all(1.0 - (1.0 - theta) * dt * (ops[j].diag + lam * penalties[j]) >= 0.0)
-            for j in range(M)
-        )
+        explicit_ok = np.all(1.0 - (1.0 - theta) * dt * (diag[:-1] + lam * weight[:-1]) >= 0.0)
         if not explicit_ok:
             warnings.warn("theta < 1 mesh-ratio check failed: explicit part has negative "
                           "entries, positivity is not certified", stacklevel=2)
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    positivity = bool(m_pattern and dominant and explicit_ok)
-    return StepFactorization(spec, float(lam), ops, penalties, tuple(banded),
-                             positivity, peclet)
+    return StepFactorization(spec, float(lam), (lower, diag, upper), weight, (dl, d, du, du2, ipiv),
+                             bool(m_pattern and dominant and explicit_ok), peclet)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
@@ -202,14 +208,9 @@ def mild_solution(F: StepFactorization, u0: np.ndarray, forcing: ForcingField | 
     for j in range(start_level, F.M):
         rhs_force = 0.0
         if forcing is not None:
-            fj = forcing.values[1:-1, j]
-            fj1 = forcing.values[1:-1, j + 1]
-            rhs_force = dt * ((1.0 - theta) * fj + theta * fj1)
-        if theta < 1.0:
-            base = w - (1.0 - theta) * dt * (F.ops[j].matvec(w) + F.lam * F.penalties[j] * w)
-        else:
-            base = w
-        w = solve_banded((1, 1), F.banded_L[j], base + rhs_force)
+            f = forcing.values[1:-1]
+            rhs_force = dt * ((1.0 - theta) * f[:, j] + theta * f[:, j + 1])
+        w = F.solve(j, F.explicit(j, w) + rhs_force)
         states.append(w.copy())
     return Trajectory(np.array(states), F.lam, start_level)
 
@@ -278,18 +279,14 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     vnorms = np.array([discrete_v_norm_sq(spec, traj.states[k]) for k in range(len(levels))])
     lhs += 0.25 * alpha * float(np.sum(wq * amp * vnorms))
     if F.lam > 0:
-        pen = np.array([
-            h * float(np.sum(F.penalties[j] * traj.states[k] ** 2))
-            for k, j in enumerate(levels)
-        ])
+        pen = np.array([h * float(np.sum(F.weight[j] * traj.states[k] ** 2))
+                        for k, j in enumerate(levels)])
         lhs += F.lam * float(np.sum(wq * amp * pen))
 
     u0 = traj.states[0]
     rhs = 0.5 * math.exp(2.0 * gamma * (tJ - s * dt)) * h * float(u0 @ u0)
     if forcing is not None:
-        fn = np.array([
-            h * float(np.sum(forcing.values[1:-1, j] ** 2)) for j in levels
-        ])
+        fn = np.array([h * float(np.sum(forcing.values[1:-1, j] ** 2)) for j in levels])
         rhs += float(np.sum(wq * amp * fn)) / alpha
 
     ratio = lhs / rhs if rhs > 0 else 0.0

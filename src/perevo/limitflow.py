@@ -30,10 +30,10 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import (InsufficientData, InvariantError, MisalignedPiece, NoConvergence,
-                     TrivialLimitComparison)
+                     SingularStep, TrivialLimitComparison)
 from .evolve import StepFactorization, prepare
 from .model import ProblemSpec, staircase_geometry
-from .operator import TridiagonalOperator
+from .operator import band_matvec
 from .spectral import monodromy, periodic_eigenfunction, spectral_radius
 
 __all__ = [
@@ -143,42 +143,32 @@ def _active_indices(spec: ProblemSpec, region, strict: bool) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def _sub_tridiag(op: TridiagonalOperator, idx: np.ndarray):
-    """Tridiagonal bands of the operator restricted to the index set.
+def _sub_tridiag(bands, idx: np.ndarray):
+    """Tridiagonal bands (lower, diag, upper) restricted to the index set.
 
     Couplings survive only between indices that are also neighbours on the
     full grid; a gap in the index set acts as a hard wall.
     """
     m = idx.size
-    diag = op.diag[idx]
+    diag = bands[1][idx]
     lower = np.zeros(m)
     upper = np.zeros(m)
     if m > 1:
         adjacent = np.diff(idx) == 1
-        lower[1:][adjacent] = op.lower[idx[1:][adjacent]]
-        upper[:-1][adjacent] = op.upper[idx[:-1][adjacent]]
+        lower[1:][adjacent] = bands[0][idx[1:][adjacent]]
+        upper[:-1][adjacent] = bands[2][idx[:-1][adjacent]]
     return lower, diag, upper
 
 
-def _sub_banded(op: TridiagonalOperator, idx: np.ndarray, theta: float, dt: float) -> np.ndarray:
+def _sub_banded(bands, idx: np.ndarray, theta: float, dt: float) -> np.ndarray:
     """Banded I + theta dt A restricted to the index set."""
-    lower, diag, upper = _sub_tridiag(op, idx)
+    lower, diag, upper = _sub_tridiag(bands, idx)
     m = idx.size
     ab = np.zeros((3, m))
     ab[0, 1:] = upper[:-1] * (theta * dt)
     ab[1, :] = 1.0 + diag * (theta * dt)
     ab[2, :-1] = lower[1:] * (theta * dt)
     return ab
-
-
-def _sub_matvec(op: TridiagonalOperator, idx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    lower, diag, upper = _sub_tridiag(op, idx)
-    shape = (-1,) + (1,) * (u.ndim - 1)
-    out = diag.reshape(shape) * u
-    if idx.size > 1:
-        out[:-1] += upper[:-1].reshape((-1,) + (1,) * (u.ndim - 1)) * u[1:]
-        out[1:] += lower[1:].reshape((-1,) + (1,) * (u.ndim - 1)) * u[:-1]
-    return out
 
 
 @dataclass
@@ -198,6 +188,9 @@ class LimitMonodromy:
     _active: dict = field(repr=False, default=None)
     _strict: bool = False
 
+    def _level_bands(self, j: int):
+        return tuple(band[j] for band in self._F0.bands)
+
     def _step(self, j: int, X: np.ndarray) -> np.ndarray:
         tgrid = self.spec.tgrid
         theta = self.spec.theta
@@ -207,11 +200,11 @@ class LimitMonodromy:
         out = np.zeros_like(X)
         if idx.size == 0:
             return out
-        op = self._F0.ops[j + 1]
-        ab = _sub_banded(op, idx, theta, tgrid.dt)
+        ab = _sub_banded(self._level_bands(j + 1), idx, theta, tgrid.dt)
         rhs = X[idx]
         if theta < 1.0:
-            rhs = rhs - (1.0 - theta) * tgrid.dt * _sub_matvec(self._F0.ops[j], idx, rhs)
+            sub = _sub_tridiag(self._level_bands(j), idx)
+            rhs = rhs - (1.0 - theta) * tgrid.dt * band_matvec(*sub, rhs)
         out[idx] = solve_banded((1, 1), ab, rhs)
         return out
 
@@ -320,15 +313,15 @@ def _eig_distances(samples_a: np.ndarray, samples_b: np.ndarray, h: float,
 
 
 def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
-          max_iter: int = 20000, oracle: LimitMonodromy | None = None,
-          threads: int = 1):
+          max_iter: int = 20000, oracle: LimitMonodromy | None = None):
     """One record per penalty value, ascending; failures do not stop the sweep.
 
     The eigenfunction is normalized to unit space-time l2 mass before its
-    share on the strongly penalized region {weight >= eps} is measured.
-    Per-penalty computations are independent and run on a thread pool when
-    threads > 1 (records merge back in penalty order).  Violations of
-    eigenvalue monotonicity beyond rounding slack are reported as warnings.
+    share on the strongly penalized region {weight >= eps} is measured.  A
+    penalty whose step matrix is singular or whose power iteration does not
+    converge gives an invalid record and a warning; a non-converged record
+    keeps the last r estimate and residual.  Violations of eigenvalue
+    monotonicity beyond rounding slack are reported as warnings.
     """
     lambdas = [float(v) for v in lambdas]
     if any(l2 < l1 for l1, l2 in zip(lambdas, lambdas[1:])):
@@ -350,12 +343,14 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
     def one(lam: float) -> SweepRecord:
         try:
             F = prepare(spec, lam)
-            res = spectral_radius(monodromy(F), tol=tol, max_iter=max_iter)
-        except NoConvergence as exc:
+            P = monodromy(F)
+            res = spectral_radius(P, tol=tol, max_iter=max_iter)
+        except (NoConvergence, SingularStep) as exc:
             warnings.warn(f"penalty {lam:g}: {exc}", stacklevel=3)
-            return SweepRecord(lam, math.nan, math.nan, math.nan, math.nan,
-                               math.nan, False, False)
-        P = monodromy(F)
+            stalled = isinstance(exc, NoConvergence)
+            return SweepRecord(lam, exc.r_estimate if stalled else math.nan, math.nan,
+                               exc.residual if stalled else math.nan, math.nan, math.nan,
+                               False, False)
         if res.trivial:
             return SweepRecord(lam, res.r, math.inf, res.residual, math.nan,
                                math.nan, True, True, res.iterations, P.P, None)
@@ -370,13 +365,7 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
         return SweepRecord(lam, res.r, res.mu, res.residual, mass, dist,
                            False, True, res.iterations, P.P, u)
 
-    if threads > 1 and len(lambdas) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, lambdas))
-    else:
-        records = [one(lam) for lam in lambdas]
+    records = [one(lam) for lam in lambdas]
 
     finite = [r for r in records if r.valid]
     for r1, r2 in zip(finite, finite[1:]):

@@ -1,4 +1,4 @@
-"""Per-level assembly of the spatial operator and the penalty diagonal.
+"""Assembly of the spatial operator's tridiagonal stencil on the time levels.
 
 The flux-form stencil discretizes  -(D u' + a u)' + b u' + c0 u  on the
 interior nodes.  With the face flux
@@ -15,6 +15,9 @@ Dirichlet rows simply drop the coupling to the eliminated endpoint.  At a flux
 (Neumann/Robin) endpoint the missing face flux is replaced by the boundary
 relation (D u' + a u) . nu + b0 u = 0 with the boundary value lumped onto the
 nearest unknown, so the pure-Neumann Laplacian keeps zero row sums.
+
+stencil_bands evaluates the stencil for all (or some) time levels in one
+vectorized pass, as (levels, n) band arrays; assemble_A wraps a single level.
 """
 
 from __future__ import annotations
@@ -29,12 +32,24 @@ from .model import ProblemSpec, coercivity_shift
 __all__ = [
     "TridiagonalOperator",
     "PenaltyDiagonal",
+    "band_matvec",
+    "stencil_bands",
     "assemble_A",
     "assemble_penalty",
     "bilinear_form",
     "mesh_peclet_ok",
     "garding_audit",
 ]
+
+
+def band_matvec(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                u: np.ndarray) -> np.ndarray:
+    """Tridiagonal product with a vector or the columns of a matrix."""
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    out = diag.reshape(shape) * u
+    out[:-1] += upper[:-1].reshape(shape) * u[1:]
+    out[1:] += lower[1:].reshape(shape) * u[:-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,25 +74,13 @@ class TridiagonalOperator:
         u = np.asarray(u, dtype=float)
         if u.shape[0] != self.n:
             raise DimensionMismatch(f"expected leading dimension {self.n}, got {u.shape}")
-        shape = (-1,) + (1,) * (u.ndim - 1)
-        out = self.diag.reshape(shape) * u
-        out[:-1] += self.upper[:-1].reshape((-1,) + (1,) * (u.ndim - 1)) * u[1:]
-        out[1:] += self.lower[1:].reshape((-1,) + (1,) * (u.ndim - 1)) * u[:-1]
-        return out
+        return band_matvec(self.lower, self.diag, self.upper, u)
 
     def row_sums(self) -> np.ndarray:
         return self.lower + self.diag + self.upper
 
     def offdiag_nonpositive(self) -> bool:
         return bool(np.all(self.lower <= 0.0) and np.all(self.upper <= 0.0))
-
-    def to_banded(self) -> np.ndarray:
-        """Banded storage (3, n) in the layout used by scipy's solve_banded."""
-        ab = np.zeros((3, self.n))
-        ab[0, 1:] = self.upper[:-1]
-        ab[1, :] = self.diag
-        ab[2, :-1] = self.lower[1:]
-        return ab
 
 
 @dataclass(frozen=True)
@@ -88,46 +91,43 @@ class PenaltyDiagonal:
     time_level: int
 
 
-def assemble_A(spec: ProblemSpec, j: int) -> TridiagonalOperator:
-    """Assemble the operator at time level j (0 <= j <= M)."""
-    if not 0 <= j <= spec.tgrid.M:
-        raise DimensionMismatch(f"time level {j} outside 0..{spec.tgrid.M}")
-    g = spec.grid
-    h, n = g.h, g.n
-    Dcol = spec.coeff.D[:, j]
-    acol = spec.coeff.a[:, j]
-    bi = spec.coeff.b[1:-1, j]
-    ci = spec.coeff.c0[1:-1, j]
+def stencil_bands(spec: ProblemSpec, levels=slice(None)):
+    """Bands (lower, diag, upper) of the operator at the given time levels.
 
-    Dh = 0.5 * (Dcol[:-1] + Dcol[1:])  # faces 0..n
-    ah = 0.5 * (acol[:-1] + acol[1:])
+    For a slice of levels each band is a C-ordered (levels, n) array, row k
+    belonging to the k-th selected level; for one level index it is an (n,)
+    array.  The entries lower[0] and upper[n-1] of a level are unused and zero.
+    """
+    h, n = spec.grid.h, spec.grid.n
+    D = spec.coeff.D[:, levels]
+    a = spec.coeff.a[:, levels]
+    bi = spec.coeff.b[1:-1, levels]
+    ci = spec.coeff.c0[1:-1, levels]
+
+    Dh = 0.5 * (D[:-1] + D[1:])  # faces 0..n
+    ah = 0.5 * (a[:-1] + a[1:])
     h2 = h * h
 
     lower = -Dh[:-1] / h2 + ah[:-1] / (2 * h) - bi / (2 * h)
     upper = -Dh[1:] / h2 - ah[1:] / (2 * h) + bi / (2 * h)
     diag = (Dh[:-1] + Dh[1:]) / h2 + (ah[:-1] - ah[1:]) / (2 * h) + ci
-
-    lower = lower.copy()
-    upper = upper.copy()
-    diag = diag.copy()
-
-    if spec.bc.side("left") == "dirichlet":
-        lower[0] = 0.0
-    else:
+    lower[0] = 0.0
+    upper[-1] = 0.0
+    if spec.bc.side("left") != "dirichlet":
         # replace the missing left-face flux by the boundary relation,
         # boundary value lumped onto node 1
         diag[0] = spec.bc.b0_left / h + Dh[1] / h2 - ah[1] / (2 * h) - bi[0] / (2 * h) + ci[0]
-        upper[0] = -Dh[1] / h2 - ah[1] / (2 * h) + bi[0] / (2 * h)
-        lower[0] = 0.0
-    if spec.bc.side("right") == "dirichlet":
-        upper[-1] = 0.0
-    else:
+    if spec.bc.side("right") != "dirichlet":
         diag[-1] = (Dh[n - 1] / h2 + ah[n - 1] / (2 * h) + spec.bc.b0_right / h
                     + bi[-1] / (2 * h) + ci[-1])
-        lower[-1] = -Dh[n - 1] / h2 + ah[n - 1] / (2 * h) - bi[-1] / (2 * h)
-        upper[-1] = 0.0
+    return tuple(np.ascontiguousarray(band.T) for band in (lower, diag, upper))
 
-    return TridiagonalOperator(lower, diag, upper, j, h)
+
+def assemble_A(spec: ProblemSpec, j: int) -> TridiagonalOperator:
+    """Assemble the operator at time level j (0 <= j <= M)."""
+    if not 0 <= j <= spec.tgrid.M:
+        raise DimensionMismatch(f"time level {j} outside 0..{spec.tgrid.M}")
+    return TridiagonalOperator(*stencil_bands(spec, j), j, spec.grid.h)
 
 
 def assemble_penalty(spec: ProblemSpec, j: int) -> PenaltyDiagonal:
@@ -168,6 +168,5 @@ def garding_audit(spec: ProblemSpec, levels=None, n_vectors: int = 100, seed: in
         A = assemble_A(spec, j)
         for _ in range(n_vectors):
             u = rng.standard_normal(spec.grid.n)
-            val = bilinear_form(A, u, u) + gamma0 * h * float(u @ u)
-            worst = min(worst, val)
+            worst = min(worst, bilinear_form(A, u, u) + gamma0 * h * float(u @ u))
     return float(worst)

@@ -41,6 +41,26 @@ def interval_heat_kernel(x, y, tau, x_lo, x_hi, terms=60):
     return total / math.sqrt(4 * math.pi * tau)
 
 
+def dense_step_matrix(spec, lam, j):
+    """Dense I + dt (A + lam m) at level j, written entry by entry from the flux
+    form with arithmetic-mean face coefficients (Dirichlet ends only)."""
+    assert spec.bc.side("left") == spec.bc.side("right") == "dirichlet"
+    n, h, dt = spec.grid.n, spec.grid.h, spec.tgrid.dt
+    D, a, b, c0 = (f[:, j] for f in (spec.coeff.D, spec.coeff.a, spec.coeff.b, spec.coeff.c0))
+    m = spec.weight.values[:, j]
+    L = np.eye(n)
+    for row in range(n):
+        k = row + 1  # node index including the left endpoint
+        d_w, d_e = (D[k - 1] + D[k]) / 2, (D[k] + D[k + 1]) / 2
+        a_w, a_e = (a[k - 1] + a[k]) / 2, (a[k] + a[k + 1]) / 2
+        L[row, row] += dt * ((d_w + d_e) / h**2 + (a_w - a_e) / (2 * h) + c0[k] + lam * m[k])
+        if row > 0:
+            L[row, row - 1] = dt * (-d_w / h**2 + a_w / (2 * h) - b[k] / (2 * h))
+        if row < n - 1:
+            L[row, row + 1] = dt * (-d_e / h**2 - a_e / (2 * h) + b[k] / (2 * h))
+    return L
+
+
 def dense_theta_trajectory(F, u0, forcing_values):
     """Solve the whole space-time system in one dense linear solve (theta = 1).
 
@@ -53,12 +73,7 @@ def dense_theta_trajectory(F, u0, forcing_values):
     big = np.zeros((n * M, n * M))
     rhs = np.zeros(n * M)
     for j in range(M):
-        op = F.ops[j + 1]
-        block = np.zeros((n, n))
-        block[np.arange(n), np.arange(n)] = 1.0 + dt * (op.diag + F.lam * F.penalties[j + 1])
-        block[np.arange(n - 1), np.arange(1, n)] = dt * op.upper[:-1]
-        block[np.arange(1, n), np.arange(n - 1)] = dt * op.lower[1:]
-        big[j * n:(j + 1) * n, j * n:(j + 1) * n] = block
+        big[j * n:(j + 1) * n, j * n:(j + 1) * n] = dense_step_matrix(spec, F.lam, j + 1)
         if j > 0:
             big[j * n:(j + 1) * n, (j - 1) * n:j * n] = -np.eye(n)
         rhs[j * n:(j + 1) * n] = dt * forcing_values[1:-1, j + 1]
@@ -85,16 +100,10 @@ def flood_reachable(mask, start):
 
 
 def dense_period_map(F):
-    """Period map assembled from explicit dense inverses (theta = 1 only)."""
+    """Period map assembled from explicit dense solves (theta = 1 only)."""
     spec = F.spec
-    n, M, dt = spec.grid.n, spec.tgrid.M, spec.tgrid.dt
     assert spec.theta == 1.0
-    P = np.eye(n)
-    for j in range(M):
-        op = F.ops[j + 1]
-        L = np.zeros((n, n))
-        L[np.arange(n), np.arange(n)] = 1.0 + dt * (op.diag + F.lam * F.penalties[j + 1])
-        L[np.arange(n - 1), np.arange(1, n)] = dt * op.upper[:-1]
-        L[np.arange(1, n), np.arange(n - 1)] = dt * op.lower[1:]
-        P = np.linalg.solve(L, P)
+    P = np.eye(spec.grid.n)
+    for j in range(spec.tgrid.M):
+        P = np.linalg.solve(dense_step_matrix(spec, F.lam, j + 1), P)
     return P

@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import oracles
 import perevo
+from perevo import evolve
 from perevo.errors import InvariantError, LevelOrder
 from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
                            prepare, trajectory_rows)
@@ -31,6 +31,25 @@ def test_prepare_warns_on_peclet_violation():
     with pytest.warns(UserWarning, match="Peclet"):
         F = prepare(spec, 0.0)
     assert not F.positivity
+
+
+def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, monkeypatch):
+    counts = {"dgttrf": 0, "dgttrs": 0}
+
+    def counting(name):
+        real = getattr(evolve, name)
+
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in counts:
+        monkeypatch.setattr(evolve, name, counting(name))
+    F = prepare(heat_small, 1.0)
+    assert counts == {"dgttrf": heat_small.tgrid.M, "dgttrs": 0}
+    evolve_state(F, np.ones(heat_small.grid.n), 0, 3)
+    assert counts == {"dgttrf": heat_small.tgrid.M, "dgttrs": 3}
 
 
 def test_negative_penalty_rejected(heat_small):
@@ -120,8 +139,7 @@ def test_duhamel_reconstruction(heat_unit):
     hom = evolve_state(F, u0, 0, tg.M)
     voc = np.zeros(g.n)
     for k in range(tg.M):
-        contrib = scipy.linalg.solve_banded((1, 1), F.banded_L[k],
-                                            tg.dt * f.values[1:-1, k + 1])
+        contrib = evolve_state(F, tg.dt * f.values[1:-1, k + 1], k, k + 1)
         voc += evolve_state(F, contrib, k + 1, tg.M)
     ref = hom + voc
     assert np.abs(traj.states[-1] - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1e-30)

@@ -6,7 +6,8 @@ import pytest
 
 import oracles
 import perevo
-from perevo.errors import (InsufficientData, InvariantError, MisalignedPiece,
+from perevo import limitflow
+from perevo.errors import (InsufficientData, InvariantError, MisalignedPiece, SingularStep,
                            TrivialLimitComparison)
 from perevo.evolve import prepare
 from perevo.limitflow import (CylindricalPieceSpec, classify_divergent, compare_to_limit,
@@ -200,15 +201,48 @@ def test_empty_slab_kills_everything():
     assert lim.mu_inf == math.inf
 
 
-def test_threaded_sweep_matches_serial(dp_spec):
+def _two_node_spec():
+    # at penalty 0 the step matrix I + dt A is exactly singular: its diagonal
+    # 1 + dt (18 - 17) equals the size dt * 9 of its off-diagonals
+    grid = perevo.Grid1D(0.0, 1.0, 2)
+    tgrid = perevo.TimeGrid(1.0, 8)
+    coeff = perevo.make_coefficients(grid, tgrid, 1.0, c0=-17.0)
+    return perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"),
+                               perevo.make_weight(grid, tgrid, 1.0))
+
+
+def test_singular_step_stays_in_its_penalty():
+    spec = _two_node_spec()
+    with pytest.raises(SingularStep):
+        prepare(spec, 0.0)
+    (alone,) = sweep(spec, [1.0], eps=0.5)
+    assert alone.valid and alone.mu == pytest.approx(-16.64, abs=0.01)
+    with pytest.warns(UserWarning, match="penalty 0"):
+        bad, good = sweep(spec, [0.0, 1.0], eps=0.5)
+    assert not bad.valid and math.isnan(bad.mu)
+    assert good.valid and good.mu == alone.mu and good.r == alone.r
+
+
+def test_no_convergence_row_keeps_estimates(dp_spec):
+    with pytest.warns(UserWarning, match="did not converge"):
+        (rec,) = sweep(dp_spec, [0.0], eps=0.5, max_iter=1)
+    assert not rec.valid and math.isnan(rec.mu)
+    assert rec.r > 0 and rec.residual > 0
+
+
+def test_sweep_builds_one_period_map_per_penalty(dp_spec, monkeypatch):
+    calls = []
+
+    def counting(F):
+        calls.append(F.lam)
+        return monodromy(F)
+
+    monkeypatch.setattr(limitflow, "monodromy", counting)
     lams = [0.0, 10.0, 1e3]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        serial = sweep(dp_spec, lams, eps=0.5)
-        threaded = sweep(dp_spec, lams, eps=0.5, threads=3)
-    for a, b in zip(serial, threaded):
-        assert a.lam == b.lam and a.mu == b.mu and a.r == b.r
-        assert np.array_equal(a.monodromy, b.monodromy)
+        sweep(dp_spec, lams, eps=0.5)
+    assert calls == lams
 
 
 def test_sweep_input_validation(dp_spec):

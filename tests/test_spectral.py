@@ -103,9 +103,11 @@ def test_principal_pair_baseline(heat_small):
     assert resid <= 1e-10 * res.r
 
 
-def test_scalar_problem_single_node():
-    # one spatial unknown: the period map is the scalar recursion
-    grid = perevo.Grid1D(0.0, 1.0, 2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_scalar_problem_single_node(n):
+    # the smallest grids (n = 2 is below dgttrf's minimum): the period map is
+    # the power of one dense step
+    grid = perevo.Grid1D(0.0, 1.0, n)
     tgrid = perevo.TimeGrid(1.0, 8)
     coeff = perevo.make_coefficients(grid, tgrid, 1.0)
     spec = perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"),
@@ -114,8 +116,8 @@ def test_scalar_problem_single_node():
     F = prepare(spec, lam)
     P = monodromy(F)
     A = perevo.assemble_A(spec, 0)
-    dense = np.array([[A.diag[0] + lam, A.upper[0]], [A.lower[1], A.diag[1] + lam]])
-    step = np.linalg.inv(np.eye(2) + tgrid.dt * dense)
+    dense = np.diag(A.diag + lam) + np.diag(A.upper[:-1], 1) + np.diag(A.lower[1:], -1)
+    step = np.linalg.inv(np.eye(n) + tgrid.dt * dense)
     ref = np.linalg.matrix_power(step, tgrid.M)
     assert np.allclose(P.P, ref, atol=1e-13)
 
