@@ -75,10 +75,9 @@ def build_mask(weight: WeightField, grid: Grid1D, tgrid: TimeGrid) -> SpaceTimeM
 
 def mask_text(mask: SpaceTimeMask) -> str:
     """Portable text grid: one line per level (level 0 first), '#' = support."""
-    lines = []
-    for j in range(mask.n_levels):
-        lines.append("".join("#" if mask.supp[i, j] else "." for i in range(mask.n_nodes)))
-    return "\n".join(lines) + "\n"
+    cells = np.where(mask.supp.T, ord("#"), ord(".")).astype(np.uint8)
+    newline = np.full((cells.shape[0], 1), ord("\n"), dtype=np.uint8)
+    return np.hstack([cells, newline]).tobytes().decode("ascii")
 
 
 def check_regular_support(mask: SpaceTimeMask) -> bool:

@@ -33,7 +33,7 @@ from .admissibility import build_mask, check_assumption, mask_text
 from .config import build_problem, declared_pieces, parse_lambda_list
 from .errors import (NoConvergence, PerevoError, SchemaError, TrivialLimit,
                      TrivialLimitComparison)
-from .evolve import prepare, trajectory_rows, Trajectory
+from .evolve import column_workers, prepare, trajectory_rows, Trajectory
 from .kernel import envelope_violation, fit_gaussian, kernel_matrix, check_monotone_in_lambda
 from .limitflow import (classify_divergent, compare_to_limit, counterexample_pieces,
                         du_peng_pieces, limit_monodromy, sweep, vanishing_rate)
@@ -78,6 +78,7 @@ def _manifest(outdir, command, label, spec: ProblemSpec, outputs, t0):
         "digest": spec.digest(),
         "outputs": sorted(outputs),
         "wall_time_s": time.time() - t0,
+        "column_workers": column_workers(),
         "version": __version__,
     })
 

@@ -187,6 +187,7 @@ class LimitMonodromy:
     _F0: StepFactorization = field(repr=False, default=None)
     _active: dict = field(repr=False, default=None)
     _strict: bool = False
+    _samples: np.ndarray | None = field(repr=False, default=None)
 
     def _level_bands(self, j: int):
         return tuple(band[j] for band in self._F0.bands)
@@ -216,9 +217,16 @@ class LimitMonodromy:
         return w
 
     def eigenfunction_samples(self) -> np.ndarray:
-        """Periodic eigenfunction of the limit problem, one row per level."""
-        if not math.isfinite(self.mu_inf) or self.w_inf is None:
+        """Periodic eigenfunction of the limit problem, one row per level.
+
+        The samples are built once, by limit_monodromy; every call returns
+        the same read-only array.
+        """
+        if self._samples is None:
             raise TrivialLimitComparison()
+        return self._samples
+
+    def _reconstruct(self) -> np.ndarray:
         M = self.spec.tgrid.M
         dt = self.spec.tgrid.dt
         out = [self.w_inf.copy()]
@@ -226,7 +234,9 @@ class LimitMonodromy:
         for j in range(M):
             state = self._step(j, state)
             out.append(math.exp(self.mu_inf * (j + 1) * dt) * state)
-        return np.array(out)
+        samples = np.array(out)
+        samples.flags.writeable = False
+        return samples
 
 
 def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMonodromy:
@@ -268,6 +278,7 @@ def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMon
     lim.r_inf = r_inf
     lim.mu_inf = -math.log(r_inf) / spec.tgrid.T
     lim.w_inf = w
+    lim._samples = lim._reconstruct()
     return lim
 
 
@@ -287,29 +298,34 @@ def _spacetime_normalize(samples: np.ndarray, h: float, wt: np.ndarray) -> np.nd
     return samples / math.sqrt(total)
 
 
-def _lq_norm(v: np.ndarray, h: float, q: float) -> float:
+def _row_lq_norms(X: np.ndarray, h: float, q: float) -> np.ndarray:
+    """Discrete l^q norm of every row of a matrix.
+
+    The row sums reduce the contiguous last axis of a C-ordered array, which
+    numpy sums pairwise row by row exactly as a 1-D np.sum would (a
+    Fortran-ordered matrix would be summed column by column instead).  The
+    q-th root stays a float64 scalar power: the array power takes other paths
+    (sqrt for q = 2, SIMD pow) that can differ in the last bit.
+    """
     if math.isinf(q):
-        return float(np.abs(v).max())
-    return float((h * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+        return np.abs(X).max(axis=1)
+    sums = h * np.sum(np.abs(np.ascontiguousarray(X)) ** q, axis=1)
+    return np.array([s ** (1.0 / q) for s in sums])
 
 
-def _aligned_unit(v: np.ndarray, h: float, q: float) -> np.ndarray:
-    nrm = _lq_norm(v, h, q)
-    if nrm == 0:
-        return v.copy()
-    u = v / nrm
-    k = int(np.argmax(np.abs(u)))
-    return -u if u[k] < 0 else u
+def _aligned_units(X: np.ndarray, h: float, q: float) -> np.ndarray:
+    """Rows scaled to unit l^q norm (zero rows kept), each signed so that its
+    largest-magnitude entry is positive."""
+    nrm = _row_lq_norms(X, h, q)
+    U = X / np.where(nrm == 0, 1.0, nrm)[:, None]
+    rows = np.arange(U.shape[0])
+    peak = U[rows, np.abs(U).argmax(axis=1)]
+    return np.where((peak < 0)[:, None], -U, U)
 
 
 def _eig_distances(samples_a: np.ndarray, samples_b: np.ndarray, h: float,
                    q: float) -> np.ndarray:
-    out = np.empty(samples_a.shape[0])
-    for j in range(samples_a.shape[0]):
-        ua = _aligned_unit(samples_a[j], h, q)
-        ub = _aligned_unit(samples_b[j], h, q)
-        out[j] = _lq_norm(ua - ub, h, q)
-    return out
+    return _row_lq_norms(_aligned_units(samples_a, h, q) - _aligned_units(samples_b, h, q), h, q)
 
 
 def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,

@@ -107,3 +107,31 @@ def dense_period_map(F):
     for j in range(spec.tgrid.M):
         P = np.linalg.solve(dense_step_matrix(spec, F.lam, j + 1), P)
     return P
+
+
+def eig_distances_loop(samples_a, samples_b, h, q):
+    """Row-by-row l^q distance between sign-aligned unit rows (zero rows kept)."""
+    def norm(v):
+        if math.isinf(q):
+            return float(np.abs(v).max())
+        return float((h * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+
+    def aligned(v):
+        nrm = norm(v)
+        if nrm == 0:
+            return v.copy()
+        u = v / nrm
+        return -u if u[int(np.argmax(np.abs(u)))] < 0 else u
+
+    out = np.empty(samples_a.shape[0])
+    for j in range(samples_a.shape[0]):
+        out[j] = norm(aligned(samples_a[j]) - aligned(samples_b[j]))
+    return out
+
+
+def mask_text_per_cell(supp):
+    """Text grid written cell by cell: one line per level, '#' for support."""
+    n_nodes, n_levels = supp.shape
+    lines = ["".join("#" if supp[i, j] else "." for i in range(n_nodes))
+             for j in range(n_levels)]
+    return "\n".join(lines) + "\n"

@@ -152,3 +152,12 @@ def test_mask_text_roundtrip_stability():
     lines = mask_text(mask).splitlines()
     assert len(lines) == spec.tgrid.M + 1
     assert all(len(line) == spec.grid.n + 2 for line in lines)
+
+
+def test_mask_text_matches_per_cell_reference():
+    # counterexample at --refine 4, the lattice `perevo check --refine 4` writes
+    base = perevo.builtin_scenario("counterexample")
+    spec = perevo.builtin_scenario("counterexample", n=4 * (base.grid.n + 1) - 1,
+                                   M=4 * base.tgrid.M)
+    mask = build_mask(spec.weight, spec.grid, spec.tgrid)
+    assert mask_text(mask).encode() == oracles.mask_text_per_cell(mask.supp).encode()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from perevo.cli import main
+from perevo.evolve import column_workers
 
 MINI = """
 [grid]
@@ -159,3 +160,10 @@ def test_config_with_declared_pieces(tmp_path):
 def test_demo_heat_baseline(tmp_path):
     assert main(["demo", "heat_baseline", "--out", str(tmp_path / "demo")]) == 0
     assert (tmp_path / "demo" / "gaussian_fit.json").exists()
+
+
+def test_manifest_records_column_workers(tmp_path):
+    out = tmp_path / "out"
+    main(["check", "du_peng", "--out", str(out)])
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["column_workers"] == column_workers() >= 1

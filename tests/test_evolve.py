@@ -1,4 +1,9 @@
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,6 +15,7 @@ from perevo import evolve
 from perevo.errors import InvariantError, LevelOrder
 from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
                            prepare, trajectory_rows)
+from perevo.spectral import monodromy
 
 
 def test_prepare_certificate_baseline(heat_small):
@@ -218,3 +224,86 @@ def test_trajectory_rows_long_format(heat_small):
     assert len(rows) == n * (M + 1)
     t0, x0, u0 = rows[0]
     assert t0 == 0.0 and x0 == pytest.approx(heat_small.grid.h) and u0 == 1.0
+
+
+def _split_spec(n, theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # theta = 1/2 fails the mesh-ratio certificate here
+        return prepare(perevo.builtin_scenario("du_peng", n=n, M=96, theta=theta), 10.0)
+
+
+@pytest.mark.parametrize("levels", [(0, 96), (7, 40)], ids=["full", "partial"])
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("n", [64, 127, 144])
+def test_column_blocks_match_single_columns(n, theta, levels, monkeypatch):
+    # with three workers 64 columns stay one block, 127 make two uneven
+    # blocks and 144 three
+    monkeypatch.setattr(evolve, "column_workers", lambda: 3)
+    F = _split_spec(n, theta)
+    V = np.random.default_rng(n).random((n, n))
+    W = evolve_state(F, V, *levels)
+    single = np.column_stack([evolve_state(F, V[:, c], *levels) for c in range(n)])
+    assert np.array_equal(W, single)
+    assert W.flags.f_contiguous
+
+
+def test_one_worker_gives_the_same_bytes(monkeypatch):
+    F = _split_spec(127, 1.0)
+    V = np.random.default_rng(3).random((127, 127))
+    default = evolve_state(F, V, 0, 96)
+    monkeypatch.setattr(evolve, "column_workers", lambda: 1)
+    serial = evolve_state(F, V, 0, 96)
+    assert default.tobytes(order="A") == serial.tobytes(order="A")
+    assert default.flags.f_contiguous and serial.flags.f_contiguous
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    # more column workers and callers than cores, with frequent thread switches
+    monkeypatch.setattr(evolve, "column_workers", lambda: 4)
+    F = _split_spec(127, 1.0)
+    inputs = [np.random.default_rng(s).random((127, 127)) for s in range(6)]
+    want = [np.column_stack([evolve_state(F, V[:, c], 0, 24) for c in range(127)])
+            for V in inputs]
+    got = [None] * len(inputs)
+
+    def caller(i):
+        got[i] = evolve_state(F, inputs[i], 0, 24)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_forked_child_finishes_a_monodromy(monkeypatch):
+    monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+    F = _split_spec(96, 1.0)
+    want = monodromy(F).P  # the parent's pool now has a worker thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if np.array_equal(monodromy(F).P, want) else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("child process hung in monodromy after fork")
+        time.sleep(0.05)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

@@ -250,3 +250,46 @@ def test_sweep_input_validation(dp_spec):
         sweep(dp_spec, [1.0, 0.5], eps=0.5)
     with pytest.raises(InvariantError):
         sweep(dp_spec, [0.0, 1.0], eps=-1.0)
+
+
+def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
+    calls = []
+    real = limitflow.LimitMonodromy._step
+
+    def counting(self, j, X):
+        calls.append(j)
+        return real(self, j, X)
+
+    monkeypatch.setattr(limitflow.LimitMonodromy, "_step", counting)
+    lim = limit_monodromy(dp_spec, du_peng_pieces(dp_spec))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        records = sweep(dp_spec, [0.0, 1e5], eps=0.5, oracle=lim)
+        sweep(dp_spec, [1e5], eps=0.5, oracle=lim)
+    compare_to_limit(records, lim, q=2.0)
+    compare_to_limit(records, lim, q=1.0)
+    M = dp_spec.tgrid.M
+    assert calls == list(range(M)) * 2  # M for Pinf, M for the eigenfunction samples
+
+
+def test_oracle_samples_are_one_read_only_array(dp_oracle):
+    samples = dp_oracle.eigenfunction_samples()
+    assert samples is dp_oracle.eigenfunction_samples()
+    assert not samples.flags.writeable
+    assert samples.shape == (dp_oracle.spec.tgrid.M + 1, dp_oracle.spec.grid.n)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+def test_eig_distances_match_row_loop(q, dp_sweep, dp_oracle):
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((513, 64)), rng.standard_normal((513, 64))
+    a[5] = 0.0
+    b[9] = -np.abs(b[9])  # negative peak: the row is flipped
+    h = 1.0 / 65
+    for x, y in ((a, b), (np.asfortranarray(a), b)):
+        assert limitflow._eig_distances(x, y, h, q).tobytes() == \
+            oracles.eig_distances_loop(a, b, h, q).tobytes()
+    u, v = dp_sweep[-1].eigenfunction, dp_oracle.eigenfunction_samples()
+    h = dp_oracle.spec.grid.h
+    assert limitflow._eig_distances(u, v, h, q).tobytes() == \
+        oracles.eig_distances_loop(u, v, h, q).tobytes()
