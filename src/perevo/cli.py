@@ -228,8 +228,7 @@ def cmd_kernel(args) -> int:
     violation = max(fit.max_violation, envelope_violation(fit, K))
     mono = 0.0
     if args.lam > 0:
-        K0 = kernel_matrix(F0, s_level, t_level)
-        mono = check_monotone_in_lambda(K0, K)
+        mono = check_monotone_in_lambda(kernels0[ladder.index(gap)], K)
     iofmt.write_json(os.path.join(outdir, "gaussian_fit.json"), {
         "Mconst": fit.Mconst, "omega": fit.omega, "cconst": fit.cconst,
         "max_violation": violation, "monotone_violation": mono,

@@ -30,7 +30,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
@@ -85,6 +85,7 @@ class StepFactorization:
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level, every L_j has positive row
     sums (an M-matrix), and for theta < 1 the explicit diagonal is >= 0.
+    _kernel_slot holds kernel.kernel_matrix's last evolved identity.
     """
 
     spec: ProblemSpec
@@ -94,6 +95,8 @@ class StepFactorization:
     lu: tuple
     positivity: bool
     peclet_ok: bool
+    _kernel_slot: list = field(default_factory=lambda: [None], init=False, repr=False,
+                               compare=False)
 
     @property
     def n(self) -> int:

@@ -12,6 +12,12 @@ heat case they are dominated by a Gaussian profile
     M exp(omega tau) tau^(-1/2) exp(-c dx^2 / tau),      tau = t - s,
 
 whose constants are recovered here by least squares over the kernel entries.
+
+Kernels are usually requested as a ladder of widening gaps from one start
+level.  Each StepFactorization keeps the last evolved identity, so a kernel
+from the same start level and a later end level resumes from it instead of
+stepping from the start level again.  Splitting an evolution at any level
+gives the same bits, so a resumed kernel equals a fresh one bit for bit.
 """
 
 from __future__ import annotations
@@ -61,11 +67,28 @@ class KernelMatrix:
 
 
 def kernel_matrix(F: StepFactorization, s_level: int, t_level: int) -> KernelMatrix:
-    """Materialize the kernel by evolving all unit impulses at once."""
+    """Materialize the kernel by evolving all unit impulses at once.
+
+    The evolved identity is kept on F as a read-only (s_level, t_level,
+    state) slot.  A request from the same s_level that ends at or after the
+    kept t_level continues from the kept state; any other request, an
+    out-of-range one included, starts from the identity.  Either way the slot
+    then holds this request's state.  The slot is swapped in one assignment,
+    so concurrent callers on one F can at worst repeat work, never read a
+    wrong state.
+    """
     if s_level >= t_level:
         raise LevelOrder(f"need s_level < t_level, got {s_level} >= {t_level}")
-    n = F.n
-    cols = evolve_state(F, np.eye(n), s_level, t_level) / F.spec.grid.h
+    kept = F._kernel_slot[0]
+    if kept is not None and kept[0] == s_level and kept[1] <= t_level <= F.M:
+        _, from_level, state = kept
+    else:
+        from_level, state = s_level, np.eye(F.n)
+    if from_level < t_level:
+        state = evolve_state(F, state, from_level, t_level)
+        state.flags.writeable = False
+        F._kernel_slot[0] = (s_level, t_level, state)
+    cols = state / F.spec.grid.h
     return KernelMatrix(cols, s_level, t_level, F.lam, F.spec.grid.h, F.tgrid.dt)
 
 

@@ -119,7 +119,7 @@ class CylindricalPieceSpec:
         return min(max(k, 0), len(self.pieces) - 1)
 
 
-def _active_indices(spec: ProblemSpec, region, strict: bool) -> np.ndarray:
+def _active_indices(spec: ProblemSpec, region) -> np.ndarray:
     """0-based interior node indices that belong to a slab's region."""
     n = spec.grid.n
     if region == "all":
@@ -128,19 +128,24 @@ def _active_indices(spec: ProblemSpec, region, strict: bool) -> np.ndarray:
         return np.arange(0)
     xs = spec.grid.interior()
     keep = np.zeros(n, dtype=bool)
-    h = spec.grid.h
     for lo, hi in region:
-        for v in (lo, hi):
-            if spec.grid.x_lo < v < spec.grid.x_hi:
-                off = abs(v - spec.grid.x_lo) / h
-                if abs(off - round(off)) > 1e-9:
-                    msg = (f"wall position {v} sits between grid nodes; the effective wall "
-                           f"is the first node at or beyond it")
-                    if strict:
-                        raise MisalignedPiece(msg)
-                    warnings.warn(msg, stacklevel=3)
         keep |= (lo <= xs) & (xs < hi)
     return np.flatnonzero(keep)
+
+
+def _misaligned_walls(spec: ProblemSpec, pieces: CylindricalPieceSpec) -> list:
+    """Interior wall positions strictly between grid nodes, each once, in order."""
+    g = spec.grid
+    walls = []
+    for _, _, region in pieces.pieces:
+        if region in ("all", "empty"):
+            continue
+        for lo, hi in region:
+            for v in (lo, hi):
+                off = (v - g.x_lo) / g.h
+                if g.x_lo < v < g.x_hi and abs(off - round(off)) > 1e-9 and v not in walls:
+                    walls.append(v)
+    return walls
 
 
 def _sub_tridiag(bands, idx: np.ndarray):
@@ -251,8 +256,13 @@ def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMon
             (float(t0), float(t1), region if region in ("all", "empty") else tuple(
                 (float(lo), float(hi)) for lo, hi in region))
             for t0, t1, region in pieces), spec.tgrid.T)
-    active = {k: _active_indices(spec, region, strict)
-              for k, (_, _, region) in enumerate(pieces.pieces)}
+    for v in _misaligned_walls(spec, pieces):
+        msg = (f"wall position {v} sits between grid nodes; the effective wall "
+               f"is the first node at or beyond it")
+        if strict:
+            raise MisalignedPiece(msg)
+        warnings.warn(msg, stacklevel=2)
+    active = {k: _active_indices(spec, region) for k, (_, _, region) in enumerate(pieces.pieces)}
     if spec.theta != 1.0:
         warnings.warn("hard-wall oracle with theta < 1: the restricted steps use the "
                       "same theta but entrywise dominance is only certified for theta = 1",

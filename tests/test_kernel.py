@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
 import oracles
 import perevo
+from perevo import evolve
 from perevo.errors import BadExponents, InsufficientData, LevelMismatch, LevelOrder
 from perevo.evolve import evolve_state, prepare
 from perevo.kernel import (apply_kernel, check_monotone_in_lambda, envelope_violation,
@@ -185,3 +189,108 @@ def test_penalized_norms_dominated(du_peng_small):
     for p, q in ((1, 1), (1, 2), (1, math.inf), (2, 2), (2, math.inf),
                  (math.inf, math.inf)):
         assert smoothing_norm(K1, p, q) <= smoothing_norm(K0, p, q) + 1e-12
+
+
+# kernel ladders resume from the last evolved identity
+
+def _fresh(spec, lam, s_level, t_level):
+    return kernel_matrix(prepare(spec, lam), s_level, t_level)
+
+
+def _ladder_spec(name, n, theta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # theta = 1/2 fails the mesh-ratio certificate here
+        spec = perevo.builtin_scenario(name, n=n, M=96, theta=theta)
+        return spec, prepare(spec, 10.0)
+
+
+def _counting_solves(monkeypatch):
+    calls = [0]
+    real = evolve.dgttrs
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(evolve, "dgttrs", counted)
+    return calls
+
+
+@pytest.mark.parametrize("theta", [1.0, 0.5])
+@pytest.mark.parametrize("name, n", [("heat_baseline", 127), ("du_peng", 64)])
+def test_ascending_ladder_equals_fresh_kernels(name, n, theta, monkeypatch):
+    # two column workers cut n = 127 into two blocks; n = 64 stays one block
+    monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+    spec, F = _ladder_spec(name, n, theta)
+    for s_level, gaps in ((0, (8, 16, 32, 96)), (5, (3, 11, 12, 40, 91))):
+        for gap in gaps:
+            K = kernel_matrix(F, s_level, s_level + gap)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = _fresh(spec, 10.0, s_level, s_level + gap)
+            assert K.entries.tobytes(order="A") == want.entries.tobytes(order="A")
+            assert K.entries.flags.f_contiguous and want.entries.flags.f_contiguous
+            assert (K.s_level, K.t_level) == (s_level, s_level + gap)
+
+
+def test_ladder_steps_each_level_once(heat_small, monkeypatch):
+    F = prepare(heat_small, 0.0)
+    calls = _counting_solves(monkeypatch)
+    for gap in (8, 16, 32):
+        kernel_matrix(F, 0, gap)
+    assert calls[0] == 32
+    kernel_matrix(F, 0, 32)  # the kept end level itself needs no step
+    assert calls[0] == 32
+
+
+def test_new_start_or_lower_end_restarts(heat_small, monkeypatch):
+    F = prepare(heat_small, 1.0)
+    kernel_matrix(F, 0, 32)
+    calls = _counting_solves(monkeypatch)
+    lower = kernel_matrix(F, 0, 16)
+    assert calls[0] == 16
+    moved = kernel_matrix(F, 4, 20)
+    assert calls[0] == 32
+    monkeypatch.undo()
+    assert np.array_equal(lower.entries, _fresh(heat_small, 1.0, 0, 16).entries)
+    assert np.array_equal(moved.entries, _fresh(heat_small, 1.0, 4, 20).entries)
+    M = heat_small.tgrid.M
+    with pytest.raises(LevelOrder, match=f"levels 4..{M + 1} outside"):
+        kernel_matrix(F, 4, M + 1)
+
+
+def test_returned_entries_do_not_reach_the_kept_state(heat_small):
+    F = prepare(heat_small, 0.0)
+    kernel_matrix(F, 0, 8).entries[:] = -1.0
+    again = kernel_matrix(F, 0, 8)
+    again.entries[:] = -2.0
+    resumed = kernel_matrix(F, 0, 16)
+    assert np.array_equal(resumed.entries, _fresh(heat_small, 0.0, 0, 16).entries)
+    assert not F._kernel_slot[0][2].flags.writeable
+    assert "_kernel_slot" not in repr(F)
+
+
+def test_concurrent_ladders_on_one_factorization(monkeypatch):
+    monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+    spec, F = _ladder_spec("heat_baseline", 127, 1.0)
+    orders = [(4, 8, 16, 32), (32, 8, 24), (16, 4, 40, 8), (8, 8, 48, 12)]
+    want = {g: _fresh(spec, 10.0, 0, g).entries for g in {g for o in orders for g in o}}
+    got = [[] for _ in orders]
+
+    def caller(i):
+        for g in orders[i]:
+            got[i].append(kernel_matrix(F, 0, g).entries)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(len(orders))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for order, entries in zip(orders, got):
+        assert len(entries) == len(order)
+        assert all(np.array_equal(e, want[g]) for g, e in zip(order, entries))

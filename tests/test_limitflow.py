@@ -62,6 +62,17 @@ def test_misaligned_wall_strict_vs_warn(dp_spec):
             limit_monodromy(dp_spec, pieces)
 
 
+def test_misaligned_wall_warns_once_per_position_at_the_caller(dp_spec):
+    T = dp_spec.tgrid.T
+    pieces = [(0.0, 0.5 * T, ((0.0, 0.5),)), (0.5 * T, T, ((0.3, 0.5),))]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        limit_monodromy(dp_spec, pieces)
+    walls = [w for w in caught if "wall position" in str(w.message)]
+    assert [str(w.message).split()[2] for w in walls] == ["0.5", "0.3"]
+    assert all(w.filename == __file__ for w in walls)
+
+
 def test_du_peng_oracle_finite(dp_oracle):
     assert math.isfinite(dp_oracle.mu_inf)
     assert dp_oracle.r_inf > 0

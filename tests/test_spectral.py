@@ -122,6 +122,22 @@ def test_scalar_problem_single_node(n):
     assert np.allclose(P.P, ref, atol=1e-13)
 
 
+@pytest.mark.xfail(strict=True, reason="underflow reported as nilpotent (ROADMAP 4)")
+@pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
+def test_constant_penalty_closed_form_at_large_penalties(lam):
+    # the C02 problem: m = 1 on (0, pi), n = 128, M = 512; the period map is
+    # entrywise positive for every finite penalty, so mu must stay finite
+    g = perevo.Grid1D(0.0, math.pi, 128)
+    t = perevo.TimeGrid(1.0, 512)
+    spec = perevo.make_problem(g, t, perevo.make_coefficients(g, t, 1.0),
+                               perevo.BoundarySpec("dirichlet"), perevo.make_weight(g, t, 1.0))
+    lam1 = oracles.mode_eigenvalue(g, 1)
+    exact = (t.M / t.T) * math.log(1 + t.dt * (lam1 + lam))
+    res = principal_pair(spec, lam)
+    assert not res.trivial
+    assert abs(res.mu - exact) <= 1e-10 * exact
+
+
 def test_positive_period_map_all_entries(heat_small):
     P = monodromy(prepare(heat_small, 0.0))
     assert P.P.min() > 0.0
