@@ -37,18 +37,12 @@ from .evolve import column_workers, prepare, trajectory_rows, Trajectory
 from .kernel import envelope_violation, fit_gaussian, kernel_matrix, check_monotone_in_lambda
 from .limitflow import (classify_divergent, compare_to_limit, counterexample_pieces,
                         du_peng_pieces, limit_monodromy, sweep, vanishing_rate)
-from .model import ProblemSpec, builtin_scenario
+from .model import SCENARIO_NAMES, ProblemSpec, builtin_scenario
 from .operator import garding_audit
 from .spectral import monodromy, periodic_eigenfunction, spectral_radius
 from . import iofmt
 
-_SCENARIO_NAMES = ("heat_baseline", "du_peng", "counterexample", "separable")
-_SCENARIO_PIECES = {
-    "du_peng": du_peng_pieces,
-    "counterexample": counterexample_pieces,
-    "heat_baseline": lambda spec: None,
-    "separable": lambda spec: None,
-}
+_SCENARIO_PIECES = {"du_peng": du_peng_pieces, "counterexample": counterexample_pieces}
 
 
 def _resolve(target: str, config: str | None):
@@ -57,9 +51,10 @@ def _resolve(target: str, config: str | None):
         return build_problem(config), declared_pieces(config), config
     if target is None:
         raise SchemaError("no scenario or config given")
-    if target in _SCENARIO_NAMES:
+    if target in SCENARIO_NAMES:
         spec = builtin_scenario(target)
-        return spec, _SCENARIO_PIECES[target](spec), target
+        pieces = _SCENARIO_PIECES.get(target)
+        return spec, pieces(spec) if pieces else None, target
     if os.path.exists(target):
         return build_problem(target), declared_pieces(target), target
     raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")

@@ -14,6 +14,13 @@ M-matrix and the step map is entrywise nonnegative; prepare() certifies this.
 prepare() factors every L_j once (LAPACK dgttrf); every later solve, and so
 every evolution, period map and kernel, reuses those factors through dgttrs.
 
+The same stepper runs the hard-wall problem, the lam -> infinity limit in
+which the solution lives only on the nodes of the vanishing region: given a
+per-level active-node mask, a node inactive at level j+1 gets an identity
+row in L_j with a zero right-hand side, and a coupling survives only between
+two active nodes.  Each run of active nodes then steps as its own system with
+hard Dirichlet walls at the first inactive node on each side.
+
 evolve_state applies the discrete evolution map between two levels.  Because
 a composed evolution is literally the same sequence of solves, splitting it
 at any intermediate level reproduces the direct result bit for bit.  The
@@ -85,7 +92,10 @@ class StepFactorization:
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level, every L_j has positive row
     sums (an M-matrix), and for theta < 1 the explicit diagonal is >= 0.
-    _kernel_slot holds kernel.kernel_matrix's last evolved identity.
+    active is None, or the (M+1, n) hard-wall mask prepare() was given: solve
+    j then zeroes the right-hand side outside active[j+1], and the couplings
+    of bands row j < M keep only pairs of nodes that are both active at level
+    j+1.  _kernel_slot holds kernel.kernel_matrix's last evolved identity.
     """
 
     spec: ProblemSpec
@@ -95,6 +105,7 @@ class StepFactorization:
     lu: tuple
     positivity: bool
     peclet_ok: bool
+    active: np.ndarray | None = field(default=None, repr=False)
     _kernel_slot: list = field(default_factory=lambda: [None], init=False, repr=False,
                                compare=False)
 
@@ -120,7 +131,11 @@ class StepFactorization:
         return v - fac * (Av + self.lam * self.weight[j].reshape(shape) * v)
 
     def solve(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve L_j x = rhs (a vector, or a matrix of columns)."""
+        """Solve L_j x = rhs (a vector, or a matrix of columns); with a mask,
+        rhs is zeroed outside active[j+1] first."""
+        if self.active is not None:
+            keep = self.active[j + 1].reshape((-1,) + (1,) * (rhs.ndim - 1))
+            rhs = np.where(keep, rhs, 0.0)
         if self.n == 2:  # factored with a decoupled third row, see prepare()
             rhs = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
         return dgttrs(*(f[j] for f in self.lu), rhs)[0][:self.n]
@@ -130,8 +145,15 @@ class StepFactorization:
         return self.solve(j, self.explicit(j, v))
 
 
-def prepare(spec: ProblemSpec, lam: float) -> StepFactorization:
-    """Assemble, factor and certify all step matrices for one penalty value."""
+def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> StepFactorization:
+    """Assemble, factor and certify all step matrices for one penalty value.
+
+    active, an (M+1, n) bool array whose row j marks the nodes allowed at
+    level j, turns the steps into hard-wall steps (see StepFactorization).
+    The positivity certificate is that of the unmasked steps, which implies
+    it for the masked ones: cutting a nonpositive coupling or replacing a row
+    by an identity row keeps the sign pattern and the positive row sums.
+    """
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
     M, dt, theta = spec.tgrid.M, spec.tgrid.dt, spec.theta
@@ -142,6 +164,14 @@ def prepare(spec: ProblemSpec, lam: float) -> StepFactorization:
     dl = lower[1:, 1:] * s
     d = diag[1:] * s + (1.0 + s * lam * weight[1:])
     du = upper[1:, :-1] * s
+    bands = (lower, diag, upper)
+    if active is not None:
+        cut = ~(active[1:, :-1] & active[1:, 1:])  # nodes i, i+1 not both active at j+1
+        dl[cut] = du[cut] = 0.0
+        d[~active[1:]] = 1.0
+        # the explicit part of step j reads bands row j
+        bands = (lower.copy(), diag, upper.copy())
+        bands[0][:-1, 1:][cut] = bands[2][:-1, :-1][cut] = 0.0
     finite = np.isfinite(dl).all(1) & np.isfinite(d).all(1) & np.isfinite(du).all(1)
     if spec.grid.n == 2:
         # dgttrf needs n >= 3: append an identity row that couples to nothing
@@ -167,8 +197,8 @@ def prepare(spec: ProblemSpec, lam: float) -> StepFactorization:
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    return StepFactorization(spec, float(lam), (lower, diag, upper), weight, (dl, d, du, du2, ipiv),
-                             bool(m_pattern and dominant and explicit_ok), peclet)
+    return StepFactorization(spec, float(lam), bands, weight, (dl, d, du, du2, ipiv),
+                             bool(m_pattern and dominant and explicit_ok), peclet, active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:

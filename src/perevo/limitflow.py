@@ -7,17 +7,22 @@ limit construction.
 
 The limit oracle applies to piecewise-cylindrical vanishing regions: the
 period is partitioned into slabs, each carrying the set of subintervals on
-which the solution is allowed to live.  Every implicit step is then the
-restriction of the step matrix to the active nodes (zero outside), i.e. the
-evolution with hard Dirichlet walls at the first penalized node on each side.
-This is exactly the entrywise limit of the penalized steps as the penalty
-grows, so the penalized period maps dominate the oracle entrywise and the
-eigenvalues approach the oracle value from below.
+which the solution is allowed to live.  The oracle is the penalized stepper of
+evolve.prepare at zero penalty, given the slabs' active-node mask: a node
+outside the region gets an identity row and a zero right-hand side, and no
+coupling crosses into it, so every step evolves the active nodes with hard
+Dirichlet walls at the first penalized node on each side.  This is exactly
+the entrywise limit of the penalized steps as the penalty grows, so the
+penalized period maps dominate the oracle entrywise and the eigenvalues
+approach the oracle value from below.
 
-Slab membership is evaluated half-open in time at the step's target level
-(reduced modulo the period) and half-open [lo, hi) in space, the same
-conventions the weight sampler uses, which keeps the two routes consistent
-node for node.
+Two things keep the oracle an independent check of the sweep although both
+step through the same factors: its spectrum comes from a dense
+eigendecomposition instead of power iteration, and its mask comes from the
+slab partition instead of the weight samples.  Slab membership is evaluated
+half-open in time at the step's target level (reduced modulo the period) and
+half-open [lo, hi) in space, the same conventions the weight sampler uses,
+which keeps the two routes consistent node for node.
 """
 
 from __future__ import annotations
@@ -27,14 +32,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (InsufficientData, InvariantError, MisalignedPiece, NoConvergence,
                      SingularStep, TrivialLimitComparison)
-from .evolve import StepFactorization, prepare
+from .evolve import StepFactorization, evolve_state, prepare
 from .model import ProblemSpec, staircase_geometry
-from .operator import band_matvec
-from .spectral import monodromy, periodic_eigenfunction, spectral_radius
+from .spectral import monodromy, periodic_eigenfunction, periodic_samples, spectral_radius
 
 __all__ = [
     "SweepRecord",
@@ -119,20 +122,6 @@ class CylindricalPieceSpec:
         return min(max(k, 0), len(self.pieces) - 1)
 
 
-def _active_indices(spec: ProblemSpec, region) -> np.ndarray:
-    """0-based interior node indices that belong to a slab's region."""
-    n = spec.grid.n
-    if region == "all":
-        return np.arange(n)
-    if region == "empty":
-        return np.arange(0)
-    xs = spec.grid.interior()
-    keep = np.zeros(n, dtype=bool)
-    for lo, hi in region:
-        keep |= (lo <= xs) & (xs < hi)
-    return np.flatnonzero(keep)
-
-
 def _misaligned_walls(spec: ProblemSpec, pieces: CylindricalPieceSpec) -> list:
     """Interior wall positions strictly between grid nodes, each once, in order."""
     g = spec.grid
@@ -148,39 +137,13 @@ def _misaligned_walls(spec: ProblemSpec, pieces: CylindricalPieceSpec) -> list:
     return walls
 
 
-def _sub_tridiag(bands, idx: np.ndarray):
-    """Tridiagonal bands (lower, diag, upper) restricted to the index set.
-
-    Couplings survive only between indices that are also neighbours on the
-    full grid; a gap in the index set acts as a hard wall.
-    """
-    m = idx.size
-    diag = bands[1][idx]
-    lower = np.zeros(m)
-    upper = np.zeros(m)
-    if m > 1:
-        adjacent = np.diff(idx) == 1
-        lower[1:][adjacent] = bands[0][idx[1:][adjacent]]
-        upper[:-1][adjacent] = bands[2][idx[:-1][adjacent]]
-    return lower, diag, upper
-
-
-def _sub_banded(bands, idx: np.ndarray, theta: float, dt: float) -> np.ndarray:
-    """Banded I + theta dt A restricted to the index set."""
-    lower, diag, upper = _sub_tridiag(bands, idx)
-    m = idx.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = upper[:-1] * (theta * dt)
-    ab[1, :] = 1.0 + diag * (theta * dt)
-    ab[2, :-1] = lower[1:] * (theta * dt)
-    return ab
-
-
 @dataclass
 class LimitMonodromy:
     """Hard-wall period map, its spectral data, and the stepper that built it.
 
-    mu_inf is +inf when the period map is the zero matrix (no eigenpair).
+    F is the hard-wall StepFactorization: zero penalty, stepped with the
+    active-node mask of the slab partition.  mu_inf is +inf when the period
+    map is the zero matrix (no eigenpair).
     """
 
     Pinf: np.ndarray
@@ -189,37 +152,12 @@ class LimitMonodromy:
     w_inf: np.ndarray | None
     pieces: CylindricalPieceSpec
     spec: ProblemSpec
-    _F0: StepFactorization = field(repr=False, default=None)
-    _active: dict = field(repr=False, default=None)
-    _strict: bool = False
+    F: StepFactorization = field(repr=False)
     _samples: np.ndarray | None = field(repr=False, default=None)
-
-    def _level_bands(self, j: int):
-        return tuple(band[j] for band in self._F0.bands)
-
-    def _step(self, j: int, X: np.ndarray) -> np.ndarray:
-        tgrid = self.spec.tgrid
-        theta = self.spec.theta
-        t_lookup = ((j + 1) % tgrid.M) * tgrid.dt
-        k = self.pieces.slab_index(t_lookup)
-        idx = self._active[k]
-        out = np.zeros_like(X)
-        if idx.size == 0:
-            return out
-        ab = _sub_banded(self._level_bands(j + 1), idx, theta, tgrid.dt)
-        rhs = X[idx]
-        if theta < 1.0:
-            sub = _sub_tridiag(self._level_bands(j), idx)
-            rhs = rhs - (1.0 - theta) * tgrid.dt * band_matvec(*sub, rhs)
-        out[idx] = solve_banded((1, 1), ab, rhs)
-        return out
 
     def evolve(self, v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
         """Hard-wall evolution between two levels (vector or matrix of columns)."""
-        w = np.asarray(v, dtype=float).copy()
-        for j in range(from_level, to_level):
-            w = self._step(j, w)
-        return w
+        return evolve_state(self.F, v, from_level, to_level)
 
     def eigenfunction_samples(self) -> np.ndarray:
         """Periodic eigenfunction of the limit problem, one row per level.
@@ -231,17 +169,20 @@ class LimitMonodromy:
             raise TrivialLimitComparison()
         return self._samples
 
-    def _reconstruct(self) -> np.ndarray:
-        M = self.spec.tgrid.M
-        dt = self.spec.tgrid.dt
-        out = [self.w_inf.copy()]
-        state = self.w_inf.copy()
-        for j in range(M):
-            state = self._step(j, state)
-            out.append(math.exp(self.mu_inf * (j + 1) * dt) * state)
-        samples = np.array(out)
-        samples.flags.writeable = False
-        return samples
+
+def _active_mask(spec: ProblemSpec, pieces: CylindricalPieceSpec) -> np.ndarray:
+    """(M+1, n) bool: row j marks the interior nodes in the region of the slab
+    holding level j's reduced time."""
+    xs = spec.grid.interior()
+    per_slab = np.zeros((len(pieces.pieces), xs.size), dtype=bool)
+    for k, (_, _, region) in enumerate(pieces.pieces):
+        if region in ("all", "empty"):
+            per_slab[k] = region == "all"
+            continue
+        for lo, hi in region:
+            per_slab[k] |= (lo <= xs) & (xs < hi)
+    M, dt = spec.tgrid.M, spec.tgrid.dt
+    return per_slab[[pieces.slab_index((j % M) * dt) for j in range(M + 1)]]
 
 
 def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMonodromy:
@@ -262,21 +203,14 @@ def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMon
         if strict:
             raise MisalignedPiece(msg)
         warnings.warn(msg, stacklevel=2)
-    active = {k: _active_indices(spec, region) for k, (_, _, region) in enumerate(pieces.pieces)}
     if spec.theta != 1.0:
         warnings.warn("hard-wall oracle with theta < 1: the restricted steps use the "
                       "same theta but entrywise dominance is only certified for theta = 1",
                       stacklevel=2)
-    F0 = prepare(spec, 0.0)
-    lim = LimitMonodromy(np.zeros((spec.grid.n, spec.grid.n)), 0.0, math.inf, None,
-                         pieces, spec, F0, active, strict)
-    Pinf = lim.evolve(np.eye(spec.grid.n), 0, spec.tgrid.M)
-    lim.Pinf = Pinf
+    F = prepare(spec, 0.0, _active_mask(spec, pieces))
+    Pinf = monodromy(F).P
     if float(np.abs(Pinf).max()) <= ZERO_ORACLE_TOL:
-        lim.r_inf = 0.0
-        lim.mu_inf = math.inf
-        lim.w_inf = None
-        return lim
+        return LimitMonodromy(Pinf, 0.0, math.inf, None, pieces, spec, F)
     eigvals, eigvecs = np.linalg.eig(Pinf)
     k = int(np.argmax(np.abs(eigvals)))
     r_inf = float(np.abs(eigvals[k]))
@@ -285,11 +219,10 @@ def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMon
         w = -w
     h = spec.grid.h
     w = w / math.sqrt(h * float(w @ w))
-    lim.r_inf = r_inf
-    lim.mu_inf = -math.log(r_inf) / spec.tgrid.T
-    lim.w_inf = w
-    lim._samples = lim._reconstruct()
-    return lim
+    mu_inf = -math.log(r_inf) / spec.tgrid.T
+    samples = periodic_samples(F, w, mu_inf)
+    samples.flags.writeable = False
+    return LimitMonodromy(Pinf, r_inf, mu_inf, w, pieces, spec, F, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +392,6 @@ def compare_to_limit(records, lim: LimitMonodromy, q: float = 2.0) -> Convergenc
     mu_gap = abs(rec.mu - lim.mu_inf)
     op_gap = float(np.abs(rec.monodromy - lim.Pinf).max())
     h = lim.spec.grid.h
-    wt = _trap_weights(lim.spec.tgrid.M, lim.spec.tgrid.dt)
     oracle_samples = lim.eigenfunction_samples()
     dists = _eig_distances(rec.eigenfunction, oracle_samples, h, q)
     return ConvergenceReport(rec.lam, mu_gap, op_gap, dists, float(dists.max()), q)

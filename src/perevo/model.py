@@ -39,6 +39,7 @@ __all__ = [
     "sample_sup_norms",
     "coercivity_shift",
     "builtin_scenario",
+    "SCENARIO_NAMES",
     "snap_to_node",
     "snap_to_level",
 ]
@@ -453,6 +454,7 @@ _SCENARIOS = {
     "counterexample": _counterexample,
     "separable": _separable,
 }
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def builtin_scenario(name: str, **params) -> ProblemSpec:

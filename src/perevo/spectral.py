@@ -32,6 +32,7 @@ __all__ = [
     "spectral_radius",
     "principal_pair",
     "periodic_eigenfunction",
+    "periodic_samples",
     "R_FLOOR",
 ]
 
@@ -186,6 +187,17 @@ class PeriodicEigenfunction:
         return self.samples[j]
 
 
+def periodic_samples(F: StepFactorization, w: np.ndarray, mu: float) -> np.ndarray:
+    """Rows u(t_j) = exp(mu t_j) * (evolution of w from level 0 to j), j = 0..M."""
+    dt = F.tgrid.dt
+    samples = [w.copy()]
+    state = w.copy()
+    for j in range(F.M):
+        state = F.step_once(j, state)
+        samples.append(math.exp(mu * (j + 1) * dt) * state)
+    return np.array(samples)
+
+
 def periodic_eigenfunction(F: StepFactorization, res: SpectralResult) -> PeriodicEigenfunction:
     """Rebuild the periodic eigenfunction from a converged eigenpair.
 
@@ -194,14 +206,7 @@ def periodic_eigenfunction(F: StepFactorization, res: SpectralResult) -> Periodi
     """
     if res.trivial or not math.isfinite(res.mu):
         raise TrivialLimit("no eigenfunction: the period map is numerically nilpotent")
-    dt = F.tgrid.dt
-    w = res.w.copy()
-    samples = [w.copy()]
-    state = w.copy()
-    for j in range(F.M):
-        state = F.step_once(j, state)
-        samples.append(math.exp(res.mu * (j + 1) * dt) * state)
-    samples = np.array(samples)
+    samples = periodic_samples(F, res.w, res.mu)
     h = F.spec.grid.h
     num = math.sqrt(h * float((samples[-1] - samples[0]) @ (samples[-1] - samples[0])))
     den = math.sqrt(h * float(samples[0] @ samples[0]))

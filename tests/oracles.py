@@ -109,6 +109,28 @@ def dense_period_map(F):
     return P
 
 
+def dense_hard_wall_period_map(spec, active):
+    """Hard-wall period map from dense restricted solves (theta = 1 only).
+
+    active(x, t) marks the nodes the solution may occupy; step j evaluates it
+    at the interior nodes and the reduced time of level j+1, solves the zero-
+    penalty step matrix restricted to those rows and columns, and puts zeros
+    everywhere else.
+    """
+    assert spec.theta == 1.0
+    n, M, dt = spec.grid.n, spec.tgrid.M, spec.tgrid.dt
+    xs = spec.grid.interior()
+    P = np.eye(n)
+    for j in range(M):
+        keep = np.flatnonzero(active(xs, ((j + 1) % M) * dt))
+        nxt = np.zeros((n, n))
+        if keep.size:
+            L = dense_step_matrix(spec, 0.0, j + 1)[np.ix_(keep, keep)]
+            nxt[keep] = np.linalg.solve(L, P[keep])
+        P = nxt
+    return P
+
+
 def eig_distances_loop(samples_a, samples_b, h, q):
     """Row-by-row l^q distance between sign-aligned unit rows (zero rows kept)."""
     def norm(v):

@@ -9,7 +9,7 @@ import perevo
 from perevo import limitflow
 from perevo.errors import (InsufficientData, InvariantError, MisalignedPiece, SingularStep,
                            TrivialLimitComparison)
-from perevo.evolve import prepare
+from perevo.evolve import StepFactorization, prepare
 from perevo.limitflow import (CylindricalPieceSpec, classify_divergent, compare_to_limit,
                               counterexample_pieces, du_peng_pieces, limit_monodromy,
                               sweep, vanishing_rate)
@@ -265,13 +265,13 @@ def test_sweep_input_validation(dp_spec):
 
 def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
     calls = []
-    real = limitflow.LimitMonodromy._step
+    real = StepFactorization.step_once
 
     def counting(self, j, X):
-        calls.append(j)
+        calls.append((self, j))
         return real(self, j, X)
 
-    monkeypatch.setattr(limitflow.LimitMonodromy, "_step", counting)
+    monkeypatch.setattr(StepFactorization, "step_once", counting)
     lim = limit_monodromy(dp_spec, du_peng_pieces(dp_spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -280,7 +280,41 @@ def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
     compare_to_limit(records, lim, q=2.0)
     compare_to_limit(records, lim, q=1.0)
     M = dp_spec.tgrid.M
-    assert calls == list(range(M)) * 2  # M for Pinf, M for the eigenfunction samples
+    # M for Pinf, M for the eigenfunction samples
+    assert [j for F, j in calls if F is lim.F] == list(range(M)) * 2
+
+
+def _slab_membership(slabs):
+    """active(x, t) read straight off raw (t0, t1, region) slabs, half-open."""
+    def active(x, t):
+        region = next(r for t0, t1, r in slabs if t0 <= t < t1)
+        if region in ("all", "empty"):
+            return np.full(x.shape, region == "all")
+        return np.any([(lo <= x) & (x < hi) for lo, hi in region], axis=0)
+    return active
+
+
+@pytest.mark.parametrize("case", ["du_peng", "two_intervals", "counterexample"])
+def test_oracle_matches_dense_restricted_solves(case, dp_spec):
+    spec = dp_spec
+    if case == "du_peng":
+        slabs = du_peng_pieces(spec).pieces
+    elif case == "two_intervals":
+        # walls on nodes: the half-open rule keeps xs[2] and xs[26], drops xs[21]
+        xs = spec.grid.interior()
+        slabs = ((0.0, 0.75, "all"), (0.75, 1.0, ((xs[2], xs[21]), (xs[26], xs[46]))))
+    else:
+        spec = perevo.builtin_scenario("counterexample")
+        slabs = counterexample_pieces(spec).pieces
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # off-grid walls
+        lim = limit_monodromy(spec, slabs)
+    ref = oracles.dense_hard_wall_period_map(spec, _slab_membership(slabs))
+    if case == "counterexample":
+        assert not ref.any() and not lim.Pinf.any() and lim.mu_inf == math.inf
+    else:
+        assert np.abs(lim.Pinf - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert math.isfinite(lim.mu_inf)
 
 
 def test_oracle_samples_are_one_read_only_array(dp_oracle):
