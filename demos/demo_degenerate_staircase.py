@@ -24,7 +24,7 @@ print("support topologically regular:   ", report.regular_support)
 print("forward path condition holds:    ", report.assumption_holds)
 print("first unreachable pair:          ", report.failing_pair)
 
-lim = perevo.limit_monodromy(spec, perevo.counterexample_pieces(spec))
+lim = perevo.limit_monodromy(spec)
 print(f"\nhard-wall period map max entry:   {np.abs(lim.Pinf).max():.1e} (exact zero)")
 
 with warnings.catch_warnings():

@@ -4,9 +4,9 @@ The weight vanishes on the whole interval before the switch time and on the
 left half afterwards.  As the penalty grows the principal eigenvalue climbs
 monotonically toward the eigenvalue of the limit problem, where the solution
 is confined to the subinterval after the switch by hard Dirichlet walls.
-The limit value comes from an independent construction: a product of
-restricted implicit steps, resolved by a dense eigendecomposition rather
-than power iteration.
+The limit problem lives on the weight's vanishing set: a product of
+implicit steps with hard walls at its edge, resolved by a dense
+eigendecomposition rather than power iteration.
 
 Run:  python3 demos/demo_penalty_limit.py
 """
@@ -16,11 +16,10 @@ import warnings
 import perevo
 
 spec = perevo.builtin_scenario("du_peng", n=64, M=512)
-pieces = perevo.du_peng_pieces(spec)
 
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
-    oracle = perevo.limit_monodromy(spec, pieces)
+    oracle = perevo.limit_monodromy(spec)
     records = perevo.sweep(spec, [0, 1, 10, 100, 1e3, 1e4, 1e5], eps=0.5,
                            oracle=oracle)
 

@@ -19,10 +19,9 @@ from .kernel import (KernelMatrix, GaussianFit, kernel_matrix, apply_kernel,
 from .spectral import (MonodromyMatrix, SpectralResult, PeriodicEigenfunction,
                        monodromy, spectral_radius, principal_pair,
                        periodic_eigenfunction)
-from .limitflow import (SweepRecord, CylindricalPieceSpec, LimitMonodromy,
-                        ConvergenceReport, VanishingRate, sweep, limit_monodromy,
-                        compare_to_limit, vanishing_rate, du_peng_pieces,
-                        counterexample_pieces, classify_divergent)
+from .limitflow import (SweepRecord, LimitMonodromy, ConvergenceReport, VanishingRate,
+                        sweep, limit_monodromy, compare_to_limit, vanishing_rate,
+                        du_peng_pieces, classify_divergent)
 from .admissibility import (SpaceTimeMask, PathWitness, AdmissibilityReport,
                             build_mask, mask_text, check_regular_support, slices,
                             components, check_assumption, validate_witness)

@@ -31,30 +31,27 @@ import time
 from . import __version__
 from .admissibility import build_mask, check_assumption, mask_text
 from .config import build_problem, declared_pieces, parse_lambda_list
-from .errors import (NoConvergence, PerevoError, SchemaError, TrivialLimit,
+from .errors import (NoConvergence, PerevoError, SchemaError, SingularStep, TrivialLimit,
                      TrivialLimitComparison)
 from .evolve import column_workers, prepare, trajectory_rows, Trajectory
 from .kernel import envelope_violation, fit_gaussian, kernel_matrix, check_monotone_in_lambda
-from .limitflow import (classify_divergent, compare_to_limit, counterexample_pieces,
-                        du_peng_pieces, limit_monodromy, sweep, vanishing_rate)
+from .limitflow import (classify_divergent, compare_to_limit, limit_monodromy, sweep,
+                        vanishing_rate)
 from .model import SCENARIO_NAMES, ProblemSpec, builtin_scenario
 from .operator import garding_audit
 from .spectral import monodromy, periodic_eigenfunction, spectral_radius
 from . import iofmt
 
-_SCENARIO_PIECES = {"du_peng": du_peng_pieces, "counterexample": counterexample_pieces}
-
 
 def _resolve(target: str, config: str | None):
-    """Return (spec, pieces, label) from a scenario name or config path."""
+    """Return (spec, pieces, label) from a scenario name or config path; pieces
+    are a config document's [limit] slabs, None for builtins."""
     if config is not None:
         return build_problem(config), declared_pieces(config), config
     if target is None:
         raise SchemaError("no scenario or config given")
     if target in SCENARIO_NAMES:
-        spec = builtin_scenario(target)
-        pieces = _SCENARIO_PIECES.get(target)
-        return spec, pieces(spec) if pieces else None, target
+        return builtin_scenario(target), None, target
     if os.path.exists(target):
         return build_problem(target), declared_pieces(target), target
     raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")
@@ -132,7 +129,11 @@ def cmd_sweep(args) -> int:
     outdir = _outdir(args)
     _audit(spec, args.seed)
     lambdas = parse_lambda_list(args.lambdas)
-    oracle = limit_monodromy(spec, pieces) if pieces else None
+    try:
+        oracle = limit_monodromy(spec, pieces)
+    except SingularStep as exc:
+        print(f"warning: no hard-wall oracle: {exc}", file=sys.stderr)
+        oracle = None
     records = sweep(spec, lambdas, args.eps, tol=args.tol, oracle=oracle)
 
     rows = [(r.lam, r.r, r.mu, r.residual, r.s_eps_mass, r.dist_to_limit_L2,
@@ -145,8 +146,8 @@ def cmd_sweep(args) -> int:
     iofmt.atomic_write(os.path.join(outdir, "seps_vs_lambda.dat"), "".join(
         f"{iofmt.fmt(r.lam)} {iofmt.fmt(r.s_eps_mass)}\n" for r in records if r.valid))
 
-    # an available limit oracle is authoritative for the divergence call;
-    # the per-decade growth heuristic only applies to plain sweeps
+    # the limit oracle is authoritative for the divergence call; the per-decade
+    # growth heuristic only applies when its step matrices are singular
     divergent = (not math.isfinite(oracle.mu_inf)) if oracle is not None \
         else classify_divergent(records)
     report = {"lambda_max": records[-1].lam if records else None,

@@ -1,8 +1,8 @@
 """Plain-text configuration documents.
 
 A document is INI-style: sections [grid], [time], [coefficients], [boundary],
-[weight], [scheme], and an optional [limit] section declaring the hard-wall
-slabs for the limit oracle.  Coefficient and weight values are either bare
+[weight], [scheme], and an optional [limit] section declaring slabs that
+trace the weight's free set.  Coefficient and weight values are either bare
 numbers or calls from a small fixed catalog:
 
     const(v)                         constant v
@@ -17,7 +17,9 @@ The weight key additionally accepts the builtin scenario weights:
     separable(x1, x2, t1, t2)        alias for indicator_box
 
 [limit] keys are piece1, piece2, ... with values "t_start t_end REGION" where
-REGION is "all", "empty", or one or more "lo:hi" intervals.
+REGION is "all", "empty", or one or more "lo:hi" intervals.  The hard-wall
+limit oracle takes its domain from the weight, so the slabs are only a
+cross-check: a sweep fails when they disagree with the weight's free set.
 """
 
 from __future__ import annotations

@@ -58,10 +58,6 @@ class BadExponents(PerevoError):
     """Operator-norm exponents outside 1 <= p <= q <= inf."""
 
 
-class MisalignedPiece(PerevoError):
-    """A declared wall position falls strictly between grid nodes (strict mode)."""
-
-
 class TrivialLimitComparison(PerevoError):
     """Comparison against a trivial (zero) limit operator was requested.
 

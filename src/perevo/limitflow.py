@@ -5,24 +5,25 @@ records, per penalty, the eigenvalue, the eigenfunction mass sitting on the
 strongly penalized region, and (when available) distances to an independent
 limit construction.
 
-The limit oracle applies to piecewise-cylindrical vanishing regions: the
-period is partitioned into slabs, each carrying the set of subintervals on
-which the solution is allowed to live.  The oracle is the penalized stepper of
-evolve.prepare at zero penalty, given the slabs' active-node mask: a node
-outside the region gets an identity row and a zero right-hand side, and no
-coupling crosses into it, so every step evolves the active nodes with hard
-Dirichlet walls at the first penalized node on each side.  This is exactly
-the entrywise limit of the penalized steps as the penalty grows, so the
-penalized period maps dominate the oracle entrywise and the eigenvalues
-approach the oracle value from below.
+The limit oracle poses the lambda -> infinity problem on the weight's own
+vanishing set, cylindrical or not: the solution may live only on the nodes
+where the weight sample lies below its support threshold.  The oracle is the
+penalized stepper of evolve.prepare at zero penalty, given that free set as
+its active-node mask: a node outside it gets an identity row and a zero
+right-hand side, and no coupling crosses into it, so every step evolves the
+active nodes with hard Dirichlet walls at the first penalized node on each
+side.  This is exactly the entrywise limit of the penalized steps as the
+penalty grows, so the penalized period maps dominate the oracle entrywise and
+the eigenvalues approach the oracle value from below.
 
-Two things keep the oracle an independent check of the sweep although both
-step through the same factors: its spectrum comes from a dense
-eigendecomposition instead of power iteration, and its mask comes from the
-slab partition instead of the weight samples.  Slab membership is evaluated
-half-open in time at the step's target level (reduced modulo the period) and
-half-open [lo, hi) in space, the same conventions the weight sampler uses,
-which keeps the two routes consistent node for node.
+The oracle and the sweep step through the same factors and read the same
+weight samples.  What keeps the oracle an independent check is its spectrum,
+which comes from a dense eigendecomposition instead of power iteration; the
+tests add a dense reference (tests/oracles.py) that builds the hard-wall
+period map from restricted dense solves on raw slab declarations, sharing no
+code with the stepper.  Declared slabs can also be handed to limit_monodromy,
+which then checks their half-open membership against the free set node for
+node and raises on the first disagreement.
 """
 
 from __future__ import annotations
@@ -33,15 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InsufficientData, InvariantError, MisalignedPiece, NoConvergence,
-                     SingularStep, TrivialLimitComparison)
+from .admissibility import build_mask
+from .errors import (InsufficientData, InvariantError, NoConvergence, SingularStep,
+                     TrivialLimitComparison)
 from .evolve import StepFactorization, evolve_state, prepare
-from .model import ProblemSpec, staircase_geometry
+from .model import ProblemSpec
 from .spectral import monodromy, periodic_eigenfunction, periodic_samples, spectral_radius
 
 __all__ = [
     "SweepRecord",
-    "CylindricalPieceSpec",
     "LimitMonodromy",
     "ConvergenceReport",
     "VanishingRate",
@@ -50,14 +51,11 @@ __all__ = [
     "compare_to_limit",
     "vanishing_rate",
     "du_peng_pieces",
-    "counterexample_pieces",
     "MONOTONE_SLACK",
-    "ZERO_ORACLE_TOL",
     "DIVERGENCE_THRESHOLD",
 ]
 
 MONOTONE_SLACK = 1e-10       # allowed rounding slack in the monotone eigenvalue check
-ZERO_ORACLE_TOL = 1e-14      # max-entry threshold for declaring the oracle trivial
 DIVERGENCE_THRESHOLD = 0.5   # eigenvalue growth per decade that flags divergence
 
 
@@ -85,64 +83,12 @@ class SweepRecord:
     eigenfunction: np.ndarray | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class CylindricalPieceSpec:
-    """Slab partition of one period with the active region per slab.
-
-    pieces is a tuple of (t_start, t_end, region); region is "all", "empty",
-    or a tuple of (lo, hi) subintervals.  The slabs must tile [0, T] in
-    order.  Membership of a node x in an interval is half-open: lo <= x < hi.
-    """
-
-    pieces: tuple
-    T: float
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise InvariantError("need at least one slab")
-        tol = 1e-9 * self.T
-        if abs(self.pieces[0][0]) > tol:
-            raise InvariantError("first slab must start at t = 0")
-        if abs(self.pieces[-1][1] - self.T) > tol:
-            raise InvariantError("last slab must end at t = T")
-        for (s0, e0, _), (s1, _, _) in zip(self.pieces, self.pieces[1:]):
-            if abs(e0 - s1) > tol:
-                raise InvariantError(f"slabs not contiguous at t = {e0}")
-        for s0, e0, region in self.pieces:
-            if not s0 < e0:
-                raise InvariantError(f"empty slab [{s0}, {e0}]")
-            if region not in ("all", "empty"):
-                for lo, hi in region:
-                    if not lo < hi:
-                        raise InvariantError(f"bad subinterval ({lo}, {hi})")
-
-    def slab_index(self, t: float) -> int:
-        starts = [p[0] for p in self.pieces]
-        k = int(np.searchsorted(starts, t, side="right")) - 1
-        return min(max(k, 0), len(self.pieces) - 1)
-
-
-def _misaligned_walls(spec: ProblemSpec, pieces: CylindricalPieceSpec) -> list:
-    """Interior wall positions strictly between grid nodes, each once, in order."""
-    g = spec.grid
-    walls = []
-    for _, _, region in pieces.pieces:
-        if region in ("all", "empty"):
-            continue
-        for lo, hi in region:
-            for v in (lo, hi):
-                off = (v - g.x_lo) / g.h
-                if g.x_lo < v < g.x_hi and abs(off - round(off)) > 1e-9 and v not in walls:
-                    walls.append(v)
-    return walls
-
-
 @dataclass
 class LimitMonodromy:
     """Hard-wall period map, its spectral data, and the stepper that built it.
 
     F is the hard-wall StepFactorization: zero penalty, stepped with the
-    active-node mask of the slab partition.  mu_inf is +inf when the period
+    weight's free set as the active-node mask.  mu_inf is +inf when the period
     map is the zero matrix (no eigenpair).
     """
 
@@ -150,7 +96,6 @@ class LimitMonodromy:
     r_inf: float
     mu_inf: float
     w_inf: np.ndarray | None
-    pieces: CylindricalPieceSpec
     spec: ProblemSpec
     F: StepFactorization = field(repr=False)
     _samples: np.ndarray | None = field(repr=False, default=None)
@@ -170,47 +115,59 @@ class LimitMonodromy:
         return self._samples
 
 
-def _active_mask(spec: ProblemSpec, pieces: CylindricalPieceSpec) -> np.ndarray:
-    """(M+1, n) bool: row j marks the interior nodes in the region of the slab
-    holding level j's reduced time."""
-    xs = spec.grid.interior()
-    per_slab = np.zeros((len(pieces.pieces), xs.size), dtype=bool)
-    for k, (_, _, region) in enumerate(pieces.pieces):
+def _check_pieces(spec: ProblemSpec, active: np.ndarray, pieces) -> None:
+    """Raise InvariantError unless the raw (t0, t1, region) slabs mark exactly
+    the active nodes.
+
+    Level j takes the first slab whose half-open [t0, t1) holds its reduced
+    time; region is "all", "empty", or (lo, hi) subintervals, each half-open
+    in x.  These are the weight sampler's conventions, so slabs that trace
+    the weight's free set agree with it node for node.
+    """
+    xs, ts = spec.grid.interior(), spec.tgrid.reduced_levels()
+    declared = np.zeros_like(active)
+    covered = np.zeros(ts.size, dtype=bool)
+    for t0, t1, region in pieces:
+        rows = (t0 <= ts) & (ts < t1) & ~covered
+        covered |= rows
         if region in ("all", "empty"):
-            per_slab[k] = region == "all"
+            declared[rows] = region == "all"
             continue
         for lo, hi in region:
-            per_slab[k] |= (lo <= xs) & (xs < hi)
-    M, dt = spec.tgrid.M, spec.tgrid.dt
-    return per_slab[[pieces.slab_index((j % M) * dt) for j in range(M + 1)]]
+            declared[rows] |= (lo <= xs) & (xs < hi)
+    if not covered.all():
+        j = int(np.argmin(covered))
+        raise InvariantError(f"no declared slab covers level {j} (t = {ts[j]:g})")
+    bad = np.argwhere(declared != active)
+    if bad.size:
+        j, i = bad[0]
+        raise InvariantError(
+            f"declared slabs disagree with the weight's free set at node {i + 1} "
+            f"(x = {xs[i]:g}), level {j} (t = {ts[j]:g}): the slabs call it "
+            f"{'free' if declared[j, i] else 'blocked'}")
 
 
-def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMonodromy:
-    """Build the hard-wall period map for a declared slab partition.
+def limit_monodromy(spec: ProblemSpec, pieces=None) -> LimitMonodromy:
+    """Build the hard-wall period map on the weight's free set.
 
-    pieces may be a CylindricalPieceSpec or a raw list of (t0, t1, region)
-    triples.  The spectral radius comes from a dense eigendecomposition, an
-    algorithm independent of the sweep's power iteration.
+    Level j's active nodes are the interior nodes whose weight sample lies
+    below the support threshold (admissibility.build_mask).  pieces, raw
+    (t0, t1, region) slabs, are optional and only cross-checked against that
+    set (see _check_pieces).  The spectral radius comes from a dense
+    eigendecomposition, an algorithm independent of the sweep's power
+    iteration.  A period map without a nonzero entry has no eigenpair.
     """
-    if not isinstance(pieces, CylindricalPieceSpec):
-        pieces = CylindricalPieceSpec(tuple(
-            (float(t0), float(t1), region if region in ("all", "empty") else tuple(
-                (float(lo), float(hi)) for lo, hi in region))
-            for t0, t1, region in pieces), spec.tgrid.T)
-    for v in _misaligned_walls(spec, pieces):
-        msg = (f"wall position {v} sits between grid nodes; the effective wall "
-               f"is the first node at or beyond it")
-        if strict:
-            raise MisalignedPiece(msg)
-        warnings.warn(msg, stacklevel=2)
+    active = np.ascontiguousarray(build_mask(spec.weight, spec.grid, spec.tgrid).free[1:-1].T)
+    if pieces is not None:
+        _check_pieces(spec, active, pieces)
     if spec.theta != 1.0:
         warnings.warn("hard-wall oracle with theta < 1: the restricted steps use the "
                       "same theta but entrywise dominance is only certified for theta = 1",
                       stacklevel=2)
-    F = prepare(spec, 0.0, _active_mask(spec, pieces))
+    F = prepare(spec, 0.0, active)
     Pinf = monodromy(F).P
-    if float(np.abs(Pinf).max()) <= ZERO_ORACLE_TOL:
-        return LimitMonodromy(Pinf, 0.0, math.inf, None, pieces, spec, F)
+    if not Pinf.any():
+        return LimitMonodromy(Pinf, 0.0, math.inf, None, spec, F)
     eigvals, eigvecs = np.linalg.eig(Pinf)
     k = int(np.argmax(np.abs(eigvals)))
     r_inf = float(np.abs(eigvals[k]))
@@ -222,7 +179,7 @@ def limit_monodromy(spec: ProblemSpec, pieces, strict: bool = False) -> LimitMon
     mu_inf = -math.log(r_inf) / spec.tgrid.T
     samples = periodic_samples(F, w, mu_inf)
     samples.flags.writeable = False
-    return LimitMonodromy(Pinf, r_inf, mu_inf, w, pieces, spec, F, samples)
+    return LimitMonodromy(Pinf, r_inf, mu_inf, w, spec, F, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -433,31 +390,10 @@ def vanishing_rate(records, mask=None) -> VanishingRate:
 
 
 # ---------------------------------------------------------------------------
-# canned slab partitions matching the builtin scenarios
+# the du_peng slabs, a cross-check input for limit_monodromy
 # ---------------------------------------------------------------------------
 
 def du_peng_pieces(spec: ProblemSpec, u_lo: float = 0.0, u_hi: float = 0.5,
-                   t_switch: float = 0.5) -> CylindricalPieceSpec:
-    """Two slabs: the whole interval before the switch, the subinterval after."""
-    T = spec.tgrid.T
-    return CylindricalPieceSpec((
-        (0.0, t_switch, "all"),
-        (t_switch, T, ((u_lo, u_hi),)),
-    ), T)
-
-
-def counterexample_pieces(spec: ProblemSpec, xs=None, ts=None) -> CylindricalPieceSpec:
-    """Seven slabs tracing the free region of the staircase weight."""
-    xs, ts = staircase_geometry(spec.grid, spec.tgrid, xs, ts)
-    x0, x1, x2, x3, x4, x5 = xs
-    t0, t1, t2, t3, t4, t5 = ts
-    T = spec.tgrid.T
-    return CylindricalPieceSpec((
-        (0.0, t0, "all"),
-        (t0, t1, ((x0, x1),)),
-        (t1, t2, ((x0, x1), (x2, x5))),
-        (t2, t3, ((x0, x1), (x2, x3), (x4, x5))),
-        (t3, t4, ((x0, x3), (x4, x5))),
-        (t4, t5, ((x4, x5),)),
-        (t5, T, "all"),
-    ), T)
+                   t_switch: float = 0.5) -> list:
+    """Two raw slabs: the whole interval before the switch, the subinterval after."""
+    return [(0.0, t_switch, "all"), (t_switch, spec.tgrid.T, ((u_lo, u_hi),))]

@@ -384,8 +384,8 @@ def staircase_geometry(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
     """Validate and grid-snap the six abscissae and six switch times.
 
     Returns (xs, ts) with xs[0] = x_lo, xs[5] = x_hi and every interior value
-    moved to the nearest node/level, which keeps the weight samples and the
-    hard-wall limit construction in exact agreement.
+    moved to the nearest node/level, which keeps the weight samples and slabs
+    declared at these positions in exact agreement.
     """
     xs = default_staircase_abscissae(grid.x_lo, grid.x_hi) if xs is None else tuple(xs)
     ts = default_staircase_times(tgrid.T) if ts is None else tuple(ts)

@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch against the underlying
 mathematics (closed forms, image series, one global dense solve, a plain
 queue-based flood fill) so the tests never share code paths with the
-implementations they judge.
+implementations they judge.  The one package import, staircase_geometry,
+only supplies the snapped corner positions of the staircase scenario.
 """
 
 import math
@@ -11,6 +12,8 @@ from collections import deque
 
 import numpy as np
 import scipy.linalg
+
+from perevo.model import staircase_geometry
 
 
 def mode_eigenvalue(grid, k: int) -> float:
@@ -129,6 +132,38 @@ def dense_hard_wall_period_map(spec, active):
             nxt[keep] = np.linalg.solve(L, P[keep])
         P = nxt
     return P
+
+
+def slab_membership(slabs):
+    """active(x, t) read straight off raw (t0, t1, region) slabs: half-open in t
+    and, for each (lo, hi) of a region, in x; broadcasts over x and t."""
+    def active(x, t):
+        x, t = np.asarray(x), np.asarray(t)
+        free = np.zeros(np.broadcast_shapes(x.shape, t.shape), dtype=bool)
+        for t0, t1, region in slabs:
+            if region in ("all", "empty"):
+                inside = np.full(x.shape, region == "all")
+            else:
+                inside = np.any([(lo <= x) & (x < hi) for lo, hi in region], axis=0)
+            free |= (t0 <= t) & (t < t1) & inside
+        return free
+    return active
+
+
+def counterexample_pieces(spec):
+    """Seven raw slabs tracing the free region of the default staircase weight,
+    at the corners staircase_geometry snaps onto the spec's lattice."""
+    (x0, x1, x2, x3, x4, x5), (t0, t1, t2, t3, t4, t5) = staircase_geometry(
+        spec.grid, spec.tgrid)
+    return [
+        (0.0, t0, "all"),
+        (t0, t1, ((x0, x1),)),
+        (t1, t2, ((x0, x1), (x2, x5))),
+        (t2, t3, ((x0, x1), (x2, x3), (x4, x5))),
+        (t3, t4, ((x0, x3), (x4, x5))),
+        (t4, t5, ((x4, x5),)),
+        (t5, spec.tgrid.T, "all"),
+    ]
 
 
 def eig_distances_loop(samples_a, samples_b, h, q):

@@ -17,9 +17,8 @@ import perevo
 from perevo.cli import main
 from perevo.evolve import ForcingField, energy_report, mild_solution, prepare
 from perevo.kernel import envelope_violation, fit_gaussian, kernel_matrix
-from perevo.limitflow import (classify_divergent, compare_to_limit,
-                              counterexample_pieces, du_peng_pieces, limit_monodromy,
-                              sweep, vanishing_rate)
+from perevo.limitflow import (classify_divergent, compare_to_limit, du_peng_pieces,
+                              limit_monodromy, sweep, vanishing_rate)
 from perevo.spectral import monodromy, principal_pair, spectral_radius
 
 SWEEP_GRID = [0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5]
@@ -47,7 +46,7 @@ def du_peng_acceptance():
 @pytest.fixture(scope="module")
 def staircase_acceptance():
     spec = perevo.builtin_scenario("counterexample", n=60, M=600)
-    oracle = limit_monodromy(spec, counterexample_pieces(spec))
+    oracle = limit_monodromy(spec, oracles.counterexample_pieces(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records = sweep(spec, SWEEP_GRID, eps=0.5, oracle=oracle)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -155,6 +156,43 @@ def test_config_with_declared_pieces(tmp_path):
     assert rc == 0
     rep = json.loads((out / "convergence_report.json").read_text())
     assert rep["mu_inf"] is not None and rep["mu_gap"] >= 0
+
+
+def test_sweep_reports_the_limit_of_every_weight(tmp_path):
+    box = "indicator_box(0.5, 1.0, 0.5, 1.0)"
+    for name, target, mu_inf in (("sep", "separable", 24.3235),
+                                 ("cfg", _cfg(tmp_path, weight=box), None)):
+        out = tmp_path / name
+        assert main(["sweep", target, "--lambdas", "0,1e2,1e4", "--out", str(out)]) == 0
+        rep = json.loads((out / "convergence_report.json").read_text())
+        assert rep["divergent"] is False and rep["trivial"] is False
+        assert math.isfinite(rep["mu_inf"]) and rep["mu_gap"] >= 0
+        if mu_inf is not None:
+            assert rep["mu_inf"] == pytest.approx(mu_inf, abs=1e-4)
+
+
+def test_config_with_mismatched_pieces_exit_2(tmp_path, capsys):
+    extra = "\n[limit]\npiece1 = 0 0.5 all\npiece2 = 0.5 1.0 0:0.25\n"
+    cfg = _cfg(tmp_path, weight="du_peng(0, 0.5, 0.5)", extra=extra)
+    rc = main(["sweep", cfg, "--lambdas", "0,1e2", "--out", str(tmp_path / "sw")])
+    assert rc == 2
+    assert "disagree with the weight's free set" in capsys.readouterr().err
+
+
+def test_sweep_without_oracle_when_its_step_is_singular(tmp_path, capsys):
+    # two nodes, c0 = -17: where the weight vanishes (every node from t = 0.5
+    # on) the step matrix is exactly singular at every penalty
+    cfg = tmp_path / "singular.cfg"
+    cfg.write_text(MINI.format(weight="indicator_box(0, 0.5, 0, 0.5)")
+                   .replace("n = 16", "n = 2").replace("M = 32", "M = 8")
+                   .replace("D = 1.0", "D = 1.0\nc0 = -17.0"))
+    out = tmp_path / "sw"
+    with pytest.warns(UserWarning, match="zero pivot"):
+        rc = main(["sweep", str(cfg), "--lambdas", "0,1,10", "--out", str(out)])
+    assert rc == 0
+    assert "no hard-wall oracle" in capsys.readouterr().err
+    rep = json.loads((out / "convergence_report.json").read_text())
+    assert "mu_inf" not in rep and rep["divergent"] is False and rep["n_records"] == 3
 
 
 def test_demo_heat_baseline(tmp_path):

@@ -7,12 +7,10 @@ import pytest
 import oracles
 import perevo
 from perevo import limitflow
-from perevo.errors import (InsufficientData, InvariantError, MisalignedPiece, SingularStep,
-                           TrivialLimitComparison)
+from perevo.errors import InsufficientData, InvariantError, SingularStep, TrivialLimitComparison
 from perevo.evolve import StepFactorization, prepare
-from perevo.limitflow import (CylindricalPieceSpec, classify_divergent, compare_to_limit,
-                              counterexample_pieces, du_peng_pieces, limit_monodromy,
-                              sweep, vanishing_rate)
+from perevo.limitflow import (classify_divergent, compare_to_limit, du_peng_pieces,
+                              limit_monodromy, sweep, vanishing_rate)
 from perevo.spectral import monodromy
 
 
@@ -34,43 +32,47 @@ def dp_sweep(dp_spec, dp_oracle):
                      oracle=dp_oracle)
 
 
-def test_piece_partition_validation():
-    with pytest.raises(InvariantError):
-        CylindricalPieceSpec(((0.1, 1.0, "all"),), 1.0)
-    with pytest.raises(InvariantError):
-        CylindricalPieceSpec(((0.0, 0.4, "all"), (0.5, 1.0, "all")), 1.0)
-    with pytest.raises(InvariantError):
-        CylindricalPieceSpec(((0.0, 0.5, ((0.7, 0.2),)), (0.5, 1.0, "all")), 1.0)
-    ok = CylindricalPieceSpec(((0.0, 0.5, "all"), (0.5, 1.0, "empty")), 1.0)
-    assert ok.slab_index(0.0) == 0
-    assert ok.slab_index(0.5) == 1  # half-open lookup: the switch belongs to the later slab
+def _on_slabs(spec, slabs):
+    """spec with a weight that vanishes exactly on the slabs' free set."""
+    free = oracles.slab_membership(slabs)
+    weight = perevo.make_weight(spec.grid, spec.tgrid,
+                                lambda x, t: np.where(free(x, t), 0.0, 1.0))
+    return perevo.make_problem(spec.grid, spec.tgrid, spec.coeff, spec.bc, weight, spec.theta)
 
 
-def test_whole_domain_piece_equals_zero_penalty_monodromy(dp_spec):
-    lim = limit_monodromy(dp_spec, [(0.0, 1.0, "all")])
-    P0 = monodromy(prepare(dp_spec, 0.0)).P
-    assert np.array_equal(lim.Pinf, P0)
+def test_whole_domain_piece_equals_zero_penalty_monodromy():
+    # the zero weight vanishes on the whole cylinder
+    spec = perevo.builtin_scenario("heat_baseline", n=24, M=48)
+    lim = limit_monodromy(spec, [(0.0, spec.tgrid.T, "all")])
+    assert np.array_equal(lim.Pinf, monodromy(prepare(spec, 0.0)).P)
+    assert np.array_equal(limit_monodromy(spec).Pinf, lim.Pinf)
 
 
-def test_misaligned_wall_strict_vs_warn(dp_spec):
-    pieces = du_peng_pieces(dp_spec)  # wall at 0.5 sits between nodes for n=48
-    with pytest.raises(MisalignedPiece):
-        limit_monodromy(dp_spec, pieces, strict=True)
-    with pytest.warns(UserWarning, match="wall position"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")
-            limit_monodromy(dp_spec, pieces)
-
-
-def test_misaligned_wall_warns_once_per_position_at_the_caller(dp_spec):
+def test_declared_pieces_cross_check_the_free_set(dp_spec):
     T = dp_spec.tgrid.T
-    pieces = [(0.0, 0.5 * T, ((0.0, 0.5),)), (0.5 * T, T, ((0.3, 0.5),))]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        limit_monodromy(dp_spec, pieces)
-    walls = [w for w in caught if "wall position" in str(w.message)]
-    assert [str(w.message).split()[2] for w in walls] == ["0.5", "0.3"]
-    assert all(w.filename == __file__ for w in walls)
+    # a level takes the first slab holding its time
+    limit_monodromy(dp_spec, du_peng_pieces(dp_spec) + [(0.0, T, "empty")])
+    # the first differing node, level by level: x = 20 h and 25 h
+    with pytest.raises(InvariantError, match=r"node 20 \(x = 0\.408163\), level 128 .* blocked$"):
+        limit_monodromy(dp_spec, du_peng_pieces(dp_spec, u_hi=0.4))
+    with pytest.raises(InvariantError, match=r"node 25 \(x = 0\.510204\), level 128 .* free$"):
+        limit_monodromy(dp_spec, du_peng_pieces(dp_spec, u_hi=0.6))
+    with pytest.raises(InvariantError, match=r"node 25 .*, level 64 \(t = 0\.25\)"):
+        limit_monodromy(dp_spec, du_peng_pieces(dp_spec, t_switch=0.25 * T))
+    with pytest.raises(InvariantError, match="no declared slab covers level 128"):
+        limit_monodromy(dp_spec, [(0.0, 0.5 * T, "all")])
+
+
+def test_small_nonzero_oracle_has_a_finite_limit():
+    # every entry of this Pinf is positive yet below 1e-20: only an exactly
+    # zero map means no eigenpair
+    slabs = [(0.0, 0.4, "all"), (0.4, 1.0, ((0.05, 0.35), (0.55, 0.9)))]
+    spec = _on_slabs(perevo.builtin_scenario("du_peng", n=64, M=512), slabs)
+    lim = limit_monodromy(spec, slabs)
+    assert 0.0 < lim.Pinf.min() and lim.Pinf.max() < 1e-20
+    assert lim.mu_inf == pytest.approx(45.577, abs=1e-3)
+    (rec,) = sweep(spec, [1e6], eps=0.5, oracle=lim)
+    assert lim.mu_inf - 0.05 <= rec.mu <= lim.mu_inf
 
 
 def test_du_peng_oracle_finite(dp_oracle):
@@ -182,14 +184,14 @@ def test_vanishing_rate_insufficient_data(dp_sweep):
 
 def test_staircase_oracle_is_zero():
     spec = perevo.builtin_scenario("counterexample")
-    lim = limit_monodromy(spec, counterexample_pieces(spec))
+    lim = limit_monodromy(spec, oracles.counterexample_pieces(spec))
     assert float(np.abs(lim.Pinf).max()) <= 1e-14
     assert lim.mu_inf == math.inf
 
 
 def test_staircase_sweep_decay_and_divergence():
     spec = perevo.builtin_scenario("counterexample", n=30, M=300)
-    lim = limit_monodromy(spec, counterexample_pieces(spec))
+    lim = limit_monodromy(spec, oracles.counterexample_pieces(spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         records = sweep(spec, [0.0, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5], eps=0.5,
@@ -206,8 +208,8 @@ def test_staircase_sweep_decay_and_divergence():
 
 def test_empty_slab_kills_everything():
     spec = perevo.builtin_scenario("heat_baseline", x_lo=0.0, x_hi=1.0, n=16, M=32)
-    lim = limit_monodromy(spec, [(0.0, 0.5, "all"), (0.5, 0.75, "empty"),
-                                 (0.75, 1.0, "all")])
+    slabs = [(0.0, 0.5, "all"), (0.5, 0.75, "empty"), (0.75, 1.0, "all")]
+    lim = limit_monodromy(_on_slabs(spec, slabs), slabs)
     assert np.abs(lim.Pinf).max() == 0.0
     assert lim.mu_inf == math.inf
 
@@ -284,32 +286,21 @@ def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
     assert [j for F, j in calls if F is lim.F] == list(range(M)) * 2
 
 
-def _slab_membership(slabs):
-    """active(x, t) read straight off raw (t0, t1, region) slabs, half-open."""
-    def active(x, t):
-        region = next(r for t0, t1, r in slabs if t0 <= t < t1)
-        if region in ("all", "empty"):
-            return np.full(x.shape, region == "all")
-        return np.any([(lo <= x) & (x < hi) for lo, hi in region], axis=0)
-    return active
-
-
 @pytest.mark.parametrize("case", ["du_peng", "two_intervals", "counterexample"])
 def test_oracle_matches_dense_restricted_solves(case, dp_spec):
     spec = dp_spec
     if case == "du_peng":
-        slabs = du_peng_pieces(spec).pieces
+        slabs = du_peng_pieces(spec)
     elif case == "two_intervals":
         # walls on nodes: the half-open rule keeps xs[2] and xs[26], drops xs[21]
         xs = spec.grid.interior()
-        slabs = ((0.0, 0.75, "all"), (0.75, 1.0, ((xs[2], xs[21]), (xs[26], xs[46]))))
+        slabs = [(0.0, 0.75, "all"), (0.75, 1.0, ((xs[2], xs[21]), (xs[26], xs[46])))]
+        spec = _on_slabs(spec, slabs)
     else:
         spec = perevo.builtin_scenario("counterexample")
-        slabs = counterexample_pieces(spec).pieces
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # off-grid walls
-        lim = limit_monodromy(spec, slabs)
-    ref = oracles.dense_hard_wall_period_map(spec, _slab_membership(slabs))
+        slabs = oracles.counterexample_pieces(spec)
+    lim = limit_monodromy(spec, slabs)
+    ref = oracles.dense_hard_wall_period_map(spec, oracles.slab_membership(slabs))
     if case == "counterexample":
         assert not ref.any() and not lim.Pinf.any() and lim.mu_inf == math.inf
     else:
