@@ -14,10 +14,10 @@ Outputs land in --out (default ./perevo_out); the PEREVO_OUT environment
 variable overrides --out.  Every run writes a run_manifest.json with a stable
 digest of the resolved problem.
 
-Exit codes: 0 success / assumption holds; 2 bad config or arguments;
-3 trivial limit (no eigenpair); 4 power iteration did not converge;
-5 Gaussian envelope violated; 6 path condition fails; 7 irregular support or
-an empty slice.
+Exit codes: 0 success / assumption holds; 2 bad config or arguments, or a
+sweep in which no penalty gave a valid row; 3 trivial limit (no eigenpair);
+4 power iteration did not converge; 5 Gaussian envelope violated; 6 path
+condition fails; 7 irregular support or an empty slice.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def _manifest(outdir, command, label, spec: ProblemSpec, outputs, t0):
 
 
 def _eigenfunction_csv(path, eig_samples, spec):
-    traj = Trajectory(eig_samples, 0.0, 0)
+    traj = Trajectory(eig_samples, 0.0)
     iofmt.write_csv(path, ["t", "x", "u"], trajectory_rows(traj, spec))
 
 
@@ -179,6 +179,10 @@ def cmd_sweep(args) -> int:
     _manifest(outdir, "sweep", label, spec,
               ["sweep.csv", "convergence_report.json", "mu_vs_lambda.dat",
                "seps_vs_lambda.dat"], t0)
+    if not any(r.valid for r in records):
+        print("error: no penalty gave a valid row (singular steps or no convergence)",
+              file=sys.stderr)
+        return 2
     return 0
 
 

@@ -7,10 +7,11 @@ numbers or calls from a small fixed catalog:
 
     const(v)                         constant v
     sin_t(offset, amplitude)         offset + amplitude * sin(2 pi t / T)
-    indicator_box(x1, x2, t1, t2)    1 on [x1, x2) x [t1, t2), else 0
+    indicator_box(x1, x2, t1, t2)    1 on [x1, x2) x [t1, t2), else 0 (x1 < x2, t1 < t2)
     sum(e1, e2, ...)                 pointwise sum of catalog expressions
 
-The weight key additionally accepts the builtin scenario weights:
+The weight key additionally accepts the builtin scenario weights, built and
+checked by the same model functions as the builtins:
 
     du_peng(u_lo, u_hi, t_switch)
     counterexample(x0..x5, t0..t5)   twelve numbers, grid-snapped
@@ -158,26 +159,17 @@ def _eval_expr(node, grid, tgrid, key, weight_ok):
         return model.sample_field(lambda x, t: off + amp * np.sin(2.0 * math.pi * t / T),
                                   grid, tgrid)
     if name in ("indicator_box", "separable"):
-        x1, x2, t1, t2 = _need_numbers(name, args, 4)
-        return model.sample_field(
-            lambda x, t: np.where((x1 <= x) & (x < x2) & (t1 <= t) & (t < t2), 1.0, 0.0),
-            grid, tgrid)
+        return model.box_weight(grid, tgrid, *_need_numbers(name, args, 4))
     if name == "sum":
         if not args:
             raise SchemaError("sum(...) needs at least one argument")
         parts = [a if isinstance(a, tuple) else ("const", [a]) for a in args]
         return np.sum([_eval_expr(p, grid, tgrid, key, weight_ok) for p in parts], axis=0)
     if weight_ok and name == "du_peng":
-        u_lo, u_hi, t_switch = _need_numbers("du_peng", args, 3)
-        return model.sample_field(
-            lambda x, t: np.where((t >= t_switch) & ~((u_lo <= x) & (x < u_hi)), 1.0, 0.0),
-            grid, tgrid)
+        return model.du_peng_weight(grid, tgrid, *_need_numbers("du_peng", args, 3))
     if weight_ok and name == "counterexample":
         vals = _need_numbers("counterexample", args, 12)
-        xs, ts = model.staircase_geometry(grid, tgrid, vals[:6], vals[6:])
-        return model.sample_field(
-            lambda x, t: np.where(model.staircase_blocked(xs, ts, x, t), 1.0, 0.0),
-            grid, tgrid)
+        return model.staircase_weight(grid, tgrid, vals[:6], vals[6:])
     raise SchemaError(f"key {key!r}: unknown expression {name!r}")
 
 

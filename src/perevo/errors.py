@@ -14,7 +14,7 @@ class InvariantError(PerevoError):
 
 
 class BadScenarioParams(PerevoError):
-    """Builtin scenario called with inconsistent parameters."""
+    """A scenario or its weight was given inconsistent parameters."""
 
 
 class DimensionMismatch(PerevoError):

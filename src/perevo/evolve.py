@@ -54,6 +54,7 @@ __all__ = [
     "prepare",
     "evolve_state",
     "column_workers",
+    "iter_states",
     "mild_solution",
     "energy_report",
     "discrete_v_norm_sq",
@@ -291,38 +292,44 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States u^{start_level}..u^M stacked as rows of a (levels, n) array."""
+    """States u^0..u^M stacked as rows of an (M+1, n) array, row j at level j."""
 
     states: np.ndarray
     lam: float
-    start_level: int
 
     def at_level(self, j: int) -> np.ndarray:
-        return self.states[j - self.start_level]
+        return self.states[j]
 
 
-def mild_solution(F: StepFactorization, u0: np.ndarray, forcing: ForcingField | None = None,
-                  start_level: int = 0) -> Trajectory:
-    """Solve the forced problem forward from u0 at start_level.
+def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | None = None):
+    """Yield the states of one vector w at levels 0..M, w itself first.
 
-    The forcing enters each step at the theta-weighted endpoint
-    f^{j+theta} = (1-theta) f_j + theta f_{j+1}, which keeps the scheme's
-    order.  The result equals the homogeneous evolution plus the discrete
+    With a forcing, step j adds dt f^{j+theta} = dt ((1-theta) f_j + theta
+    f_{j+1}) to its right-hand side, which keeps the scheme's order; without
+    one the steps are the homogeneous step maps.
+    """
+    dt, theta = F.tgrid.dt, F.spec.theta
+    yield w
+    for j in range(F.M):
+        if forcing is None:
+            w = F.step_once(j, w)
+        else:
+            f = forcing.values[1:-1]
+            w = F.solve(j, F.explicit(j, w) + dt * ((1.0 - theta) * f[:, j] + theta * f[:, j + 1]))
+        yield w
+
+
+def mild_solution(F: StepFactorization, u0: np.ndarray,
+                  forcing: ForcingField | None = None) -> Trajectory:
+    """Solve the forced problem forward from u0 at level 0 over one period.
+
+    The result equals the homogeneous evolution plus the discrete
     variation-of-constants sum of the per-step solves.
     """
     w = _check_state(F, u0)
     if w.ndim != 1:
         raise DimensionMismatch("mild_solution expects a single state vector")
-    dt, theta = F.tgrid.dt, F.spec.theta
-    states = [w.copy()]
-    for j in range(start_level, F.M):
-        rhs_force = 0.0
-        if forcing is not None:
-            f = forcing.values[1:-1]
-            rhs_force = dt * ((1.0 - theta) * f[:, j] + theta * f[:, j + 1])
-        w = F.solve(j, F.explicit(j, w) + rhs_force)
-        states.append(w.copy())
-    return Trajectory(np.array(states), F.lam, start_level)
+    return Trajectory(np.array(list(iter_states(F, w, forcing))), F.lam)
 
 
 def discrete_v_norm_sq(spec: ProblemSpec, u: np.ndarray) -> float:
@@ -374,10 +381,9 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     if gamma < gamma0 - 1e-12:
         raise InvariantError(f"gamma={gamma} below the coercivity shift {gamma0}")
     h, dt = spec.grid.h, F.tgrid.dt
-    s = traj.start_level
-    J = s + traj.states.shape[0] - 1
+    J = traj.states.shape[0] - 1
     tJ = J * dt
-    levels = np.arange(s, J + 1)
+    levels = np.arange(J + 1)
     wq = np.full(levels.shape, dt)
     wq[0] *= 0.5
     wq[-1] *= 0.5
@@ -386,15 +392,15 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     uT = traj.states[-1]
     lhs = 0.5 * h * float(uT @ uT)
     alpha = spec.coeff.alpha
-    vnorms = np.array([discrete_v_norm_sq(spec, traj.states[k]) for k in range(len(levels))])
+    vnorms = np.array([discrete_v_norm_sq(spec, u) for u in traj.states])
     lhs += 0.25 * alpha * float(np.sum(wq * amp * vnorms))
     if F.lam > 0:
-        pen = np.array([h * float(np.sum(F.weight[j] * traj.states[k] ** 2))
-                        for k, j in enumerate(levels)])
+        pen = np.array([h * float(np.sum(F.weight[j] * u ** 2))
+                        for j, u in enumerate(traj.states)])
         lhs += F.lam * float(np.sum(wq * amp * pen))
 
     u0 = traj.states[0]
-    rhs = 0.5 * math.exp(2.0 * gamma * (tJ - s * dt)) * h * float(u0 @ u0)
+    rhs = 0.5 * math.exp(2.0 * gamma * tJ) * h * float(u0 @ u0)
     if forcing is not None:
         fn = np.array([h * float(np.sum(forcing.values[1:-1, j] ** 2)) for j in levels])
         rhs += float(np.sum(wq * amp * fn)) / alpha
@@ -407,7 +413,6 @@ def trajectory_rows(traj: Trajectory, spec: ProblemSpec):
     """Yield (t, x, u) rows over interior nodes in long format."""
     xs = spec.grid.interior()
     dt = spec.tgrid.dt
-    for k in range(traj.states.shape[0]):
-        t = (traj.start_level + k) * dt
-        for x, u in zip(xs, traj.states[k]):
-            yield t, x, u
+    for j, state in enumerate(traj.states):
+        for x, u in zip(xs, state):
+            yield j * dt, x, u

@@ -40,6 +40,9 @@ __all__ = [
     "coercivity_shift",
     "builtin_scenario",
     "SCENARIO_NAMES",
+    "du_peng_weight",
+    "box_weight",
+    "staircase_weight",
     "snap_to_node",
     "snap_to_level",
 ]
@@ -343,32 +346,36 @@ def snap_to_level(tgrid: TimeGrid, t: float) -> float:
 
 def _heat_baseline(x_lo=0.0, x_hi=math.pi, T=1.0, n=128, M=512, D=1.0, bc="dirichlet",
                    theta=1.0):
-    grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
-    coeff = make_coefficients(grid, tgrid, D)
-    return make_problem(grid, tgrid, coeff, BoundarySpec(bc), make_weight(grid, tgrid, 0.0), theta)
+    return _scenario(Grid1D(x_lo, x_hi, n), TimeGrid(T, M), D, bc, 0.0, theta)
 
 
-def _du_peng(u_lo=0.0, u_hi=0.5, t_switch=0.5, x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512,
-             D=1.0, bc="dirichlet", theta=1.0):
-    """Weight that is off everywhere before t_switch, then one outside (u_lo, u_hi).
+def du_peng_weight(grid: Grid1D, tgrid: TimeGrid, u_lo=0.0, u_hi=0.5, t_switch=0.5):
+    """Weight samples that are off everywhere before t_switch, then one outside
+    [u_lo, u_hi).
 
     The vanishing region is the full cylinder up to t_switch followed by the
     sub-cylinder over (u_lo, u_hi); mass must descend into the subinterval
     before the switch and stay there.
     """
-    if not (x_lo <= u_lo < u_hi <= x_hi):
-        raise BadScenarioParams(f"subinterval ({u_lo}, {u_hi}) not inside ({x_lo}, {x_hi})")
-    if not (0.0 < t_switch < T):
-        raise BadScenarioParams(f"switch time {t_switch} not inside (0, {T})")
-    grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
+    if not (grid.x_lo <= u_lo < u_hi <= grid.x_hi):
+        raise BadScenarioParams(
+            f"subinterval ({u_lo}, {u_hi}) not inside ({grid.x_lo}, {grid.x_hi})")
+    if not (0.0 < t_switch < tgrid.T):
+        raise BadScenarioParams(f"switch time {t_switch} not inside (0, {tgrid.T})")
+    return sample_field(
+        lambda x, t: np.where((t >= t_switch) & ~((u_lo <= x) & (x < u_hi)), 1.0, 0.0),
+        grid, tgrid)
 
-    def m(x, t):
-        inside = (u_lo <= x) & (x < u_hi)
-        late = t >= t_switch
-        return np.where(late & ~inside, 1.0, 0.0)
 
-    coeff = make_coefficients(grid, tgrid, D)
-    return make_problem(grid, tgrid, coeff, BoundarySpec(bc), make_weight(grid, tgrid, m), theta)
+def box_weight(grid: Grid1D, tgrid: TimeGrid, x1, x2, t1, t2):
+    """Indicator samples of the box [x1, x2) x [t1, t2)."""
+    if not x1 < x2:
+        raise BadScenarioParams(f"box needs x1 < x2, got [{x1}, {x2})")
+    if not t1 < t2:
+        raise BadScenarioParams(f"box needs t1 < t2, got [{t1}, {t2})")
+    return sample_field(
+        lambda x, t: np.where((x1 <= x) & (x < x2) & (t1 <= t) & (t < t2), 1.0, 0.0),
+        grid, tgrid)
 
 
 def default_staircase_abscissae(x_lo=0.0, x_hi=1.0):
@@ -417,35 +424,40 @@ def staircase_blocked(xs, ts, x, t):
     return blocked
 
 
+def staircase_weight(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
+    """Weight samples, one on the staircase's blocks (see staircase_geometry)."""
+    xs, ts = staircase_geometry(grid, tgrid, xs, ts)
+    return sample_field(lambda x, t: np.where(staircase_blocked(xs, ts, x, t), 1.0, 0.0),
+                        grid, tgrid)
+
+
+def _scenario(grid, tgrid, D, bc, weight, theta):
+    coeff = make_coefficients(grid, tgrid, D)
+    return make_problem(grid, tgrid, coeff, BoundarySpec(bc), make_weight(grid, tgrid, weight),
+                        theta)
+
+
+def _du_peng(u_lo=0.0, u_hi=0.5, t_switch=0.5, x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512,
+             D=1.0, bc="dirichlet", theta=1.0):
+    grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
+    return _scenario(grid, tgrid, D, bc, du_peng_weight(grid, tgrid, u_lo, u_hi, t_switch), theta)
+
+
 def _counterexample(xs=None, ts=None, x_lo=0.0, x_hi=1.0, T=1.0, n=60, M=600, D=1.0,
                     bc="dirichlet", theta=1.0):
     """Staircase weight whose vanishing region is connected but only by paths
     that would have to move backwards in time; the hard-wall limit of the
     period map is the zero operator."""
     grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
-    xs, ts = staircase_geometry(grid, tgrid, xs, ts)
-
-    def m(x, t):
-        return np.where(staircase_blocked(xs, ts, x, t), 1.0, 0.0)
-
-    coeff = make_coefficients(grid, tgrid, D)
-    return make_problem(grid, tgrid, coeff, BoundarySpec(bc), make_weight(grid, tgrid, m), theta)
+    return _scenario(grid, tgrid, D, bc, staircase_weight(grid, tgrid, xs, ts), theta)
 
 
 def _separable(sx_lo=0.5, sx_hi=1.0, st_lo=0.5, st_hi=1.0, x_lo=0.0, x_hi=1.0, T=1.0,
                n=64, M=512, D=1.0, bc="dirichlet", theta=1.0):
     """Product weight 1_[sx_lo, sx_hi)(x) * 1_[st_lo, st_hi)(t)."""
-    if not sx_lo < sx_hi:
-        raise BadScenarioParams("separable weight needs sx_lo < sx_hi")
-    if not st_lo < st_hi:
-        raise BadScenarioParams("separable weight needs st_lo < st_hi")
     grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
-
-    def m(x, t):
-        return np.where((sx_lo <= x) & (x < sx_hi) & (st_lo <= t) & (t < st_hi), 1.0, 0.0)
-
-    coeff = make_coefficients(grid, tgrid, D)
-    return make_problem(grid, tgrid, coeff, BoundarySpec(bc), make_weight(grid, tgrid, m), theta)
+    return _scenario(grid, tgrid, D, bc, box_weight(grid, tgrid, sx_lo, sx_hi, st_lo, st_hi),
+                     theta)
 
 
 _SCENARIOS = {

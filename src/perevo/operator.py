@@ -17,12 +17,12 @@ relation (D u' + a u) . nu + b0 u = 0 with the boundary value lumped onto the
 nearest unknown, so the pure-Neumann Laplacian keeps zero row sums.
 
 stencil_bands evaluates the stencil for all (or some) time levels in one
-vectorized pass, as (levels, n) band arrays; assemble_A wraps a single level.
+vectorized pass, as (levels, n) band arrays; assemble_A returns the (n,) bands
+of a single level.  band_matvec applies bands to a vector or to the columns of
+a matrix.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,13 +30,9 @@ from .errors import DimensionMismatch
 from .model import ProblemSpec, coercivity_shift
 
 __all__ = [
-    "TridiagonalOperator",
-    "PenaltyDiagonal",
     "band_matvec",
     "stencil_bands",
     "assemble_A",
-    "assemble_penalty",
-    "bilinear_form",
     "mesh_peclet_ok",
     "garding_audit",
 ]
@@ -50,45 +46,6 @@ def band_matvec(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     out[:-1] += upper[:-1].reshape(shape) * u[1:]
     out[1:] += lower[1:].reshape(shape) * u[:-1]
     return out
-
-
-@dataclass(frozen=True)
-class TridiagonalOperator:
-    """Tridiagonal stencil at one time level, n interior unknowns.
-
-    lower[i] couples row i to node i-1 (lower[0] unused and zero), upper[i]
-    couples row i to node i+1 (upper[n-1] unused and zero).
-    """
-
-    lower: np.ndarray
-    diag: np.ndarray
-    upper: np.ndarray
-    time_level: int
-    h: float
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-    def matvec(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape[0] != self.n:
-            raise DimensionMismatch(f"expected leading dimension {self.n}, got {u.shape}")
-        return band_matvec(self.lower, self.diag, self.upper, u)
-
-    def row_sums(self) -> np.ndarray:
-        return self.lower + self.diag + self.upper
-
-    def offdiag_nonpositive(self) -> bool:
-        return bool(np.all(self.lower <= 0.0) and np.all(self.upper <= 0.0))
-
-
-@dataclass(frozen=True)
-class PenaltyDiagonal:
-    """Weight samples m(x_i, t_j) on the interior nodes; entrywise >= 0."""
-
-    values: np.ndarray
-    time_level: int
 
 
 def stencil_bands(spec: ProblemSpec, levels=slice(None)):
@@ -123,27 +80,11 @@ def stencil_bands(spec: ProblemSpec, levels=slice(None)):
     return tuple(np.ascontiguousarray(band.T) for band in (lower, diag, upper))
 
 
-def assemble_A(spec: ProblemSpec, j: int) -> TridiagonalOperator:
-    """Assemble the operator at time level j (0 <= j <= M)."""
+def assemble_A(spec: ProblemSpec, j: int):
+    """Bands (lower, diag, upper) of the operator at time level j (0 <= j <= M)."""
     if not 0 <= j <= spec.tgrid.M:
         raise DimensionMismatch(f"time level {j} outside 0..{spec.tgrid.M}")
-    return TridiagonalOperator(*stencil_bands(spec, j), j, spec.grid.h)
-
-
-def assemble_penalty(spec: ProblemSpec, j: int) -> PenaltyDiagonal:
-    """Penalty diagonal m(x_i, t_j) at level j; the factor lam stays symbolic."""
-    if not 0 <= j <= spec.tgrid.M:
-        raise DimensionMismatch(f"time level {j} outside 0..{spec.tgrid.M}")
-    return PenaltyDiagonal(spec.weight.values[1:-1, j].copy(), j)
-
-
-def bilinear_form(A: TridiagonalOperator, u: np.ndarray, v: np.ndarray) -> float:
-    """Discrete bilinear form h * v^T (A u)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (A.n,) or v.shape != (A.n,):
-        raise DimensionMismatch(f"expected vectors of length {A.n}")
-    return float(A.h * v @ A.matvec(u))
+    return stencil_bands(spec, j)
 
 
 def mesh_peclet_ok(spec: ProblemSpec) -> bool:
@@ -165,8 +106,8 @@ def garding_audit(spec: ProblemSpec, levels=None, n_vectors: int = 100, seed: in
         levels = sorted({0, spec.tgrid.M // 2, spec.tgrid.M})
     worst = np.inf
     for j in levels:
-        A = assemble_A(spec, j)
-        for _ in range(n_vectors):
-            u = rng.standard_normal(spec.grid.n)
-            worst = min(worst, bilinear_form(A, u, u) + gamma0 * h * float(u @ u))
+        # row k is the k-th vector drawn, as if drawn one at a time
+        U = rng.standard_normal((n_vectors, spec.grid.n)).T
+        forms = h * np.einsum("ik,ik->k", U, band_matvec(*assemble_A(spec, j), U) + gamma0 * U)
+        worst = min(worst, float(forms.min()))
     return float(worst)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, TrivialLimit
-from .evolve import StepFactorization, evolve_state
+from .evolve import StepFactorization, evolve_state, iter_states
 from .model import ProblemSpec
 
 __all__ = [
@@ -116,8 +116,7 @@ def _deflated_second(P: np.ndarray, w: np.ndarray, h: float, r: float,
     return float(est)
 
 
-def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER, r_floor: float = R_FLOOR,
+def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
                     start: np.ndarray | None = None) -> SpectralResult:
     """Power iteration from the all-ones vector, h-weighted l2 normalization.
 
@@ -139,7 +138,7 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL,
     for iterations in range(1, max_iter + 1):
         z = A @ w
         nz = _l2h(z, h)
-        if nz <= r_floor:
+        if nz <= R_FLOOR:
             return SpectralResult(P.lam, float(nz), math.inf, w, 0.0, 0.0,
                                   iterations, True)
         r = h * float(w @ z)  # Rayleigh quotient; w has unit h-norm
@@ -155,7 +154,7 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL,
     z = A @ w
     r = h * float(w @ z)
     resid = _l2h(z - r * w, h)
-    if r <= r_floor:
+    if r <= R_FLOOR:
         return SpectralResult(P.lam, float(r), math.inf, w, float(resid), 0.0,
                               iterations, True)
 
@@ -190,12 +189,7 @@ class PeriodicEigenfunction:
 def periodic_samples(F: StepFactorization, w: np.ndarray, mu: float) -> np.ndarray:
     """Rows u(t_j) = exp(mu t_j) * (evolution of w from level 0 to j), j = 0..M."""
     dt = F.tgrid.dt
-    samples = [w.copy()]
-    state = w.copy()
-    for j in range(F.M):
-        state = F.step_once(j, state)
-        samples.append(math.exp(mu * (j + 1) * dt) * state)
-    return np.array(samples)
+    return np.array([math.exp(mu * j * dt) * state for j, state in enumerate(iter_states(F, w))])
 
 
 def periodic_eigenfunction(F: StepFactorization, res: SpectralResult) -> PeriodicEigenfunction:

@@ -189,10 +189,20 @@ def test_sweep_without_oracle_when_its_step_is_singular(tmp_path, capsys):
     out = tmp_path / "sw"
     with pytest.warns(UserWarning, match="zero pivot"):
         rc = main(["sweep", str(cfg), "--lambdas", "0,1,10", "--out", str(out)])
-    assert rc == 0
-    assert "no hard-wall oracle" in capsys.readouterr().err
+    # no penalty gives a valid row: the files are written, the exit code is 2
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "no hard-wall oracle" in err and "no penalty gave a valid row" in err
     rep = json.loads((out / "convergence_report.json").read_text())
     assert "mu_inf" not in rep and rep["divergent"] is False and rep["n_records"] == 3
+
+
+def test_config_weight_parameters_are_checked(tmp_path, capsys):
+    # u_hi < u_lo: the builtin du_peng refuses it, and so does the config path
+    cfg = _cfg(tmp_path, weight="du_peng(0.6, 0.2, 0.5)")
+    assert main(["sweep", cfg, "--lambdas", "0", "--out", str(tmp_path / "sw")]) == 2
+    assert "subinterval (0.6, 0.2) not inside" in capsys.readouterr().err
+    assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
 def test_demo_heat_baseline(tmp_path):

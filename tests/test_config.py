@@ -3,7 +3,7 @@ import pytest
 
 import perevo
 from perevo.config import build_problem, declared_pieces, parse_lambda_list
-from perevo.errors import InvariantError, SchemaError
+from perevo.errors import BadScenarioParams, InvariantError, SchemaError
 
 BASE = """
 [grid]
@@ -97,6 +97,20 @@ def test_builtin_weight_in_config():
     spec = build_problem(doc)
     ref = perevo.builtin_scenario("du_peng", n=16, M=32)
     assert np.array_equal(spec.weight.values, ref.weight.values)
+
+
+@pytest.mark.parametrize("expr, name, params", [
+    ("du_peng(0.6, 0.2, 0.5)", "du_peng", {"u_lo": 0.6, "u_hi": 0.2}),
+    ("du_peng(0, 0.5, 0)", "du_peng", {"t_switch": 0.0}),
+    ("separable(0.5, 0.25, 0, 1)", "separable", {"sx_lo": 0.5, "sx_hi": 0.25}),
+    ("indicator_box(0, 1, 0.7, 0.2)", "separable", {"sx_lo": 0.0, "st_lo": 0.7, "st_hi": 0.2}),
+])
+def test_config_weight_checks_match_the_builtin(expr, name, params):
+    with pytest.raises(BadScenarioParams) as from_builtin:
+        perevo.builtin_scenario(name, n=16, M=32, **params)
+    with pytest.raises(BadScenarioParams) as from_config:
+        build_problem(BASE.replace("weight = 0.0", f"weight = {expr}"))
+    assert str(from_config.value) == str(from_builtin.value)
 
 
 def test_declared_pieces():

@@ -127,6 +127,28 @@ def test_mild_solution_against_dense_spacetime(heat_unit):
     assert worst <= 1e-12
 
 
+def test_forced_theta_half_against_dense_steps():
+    # theta = 1/2 with a time-dependent weight and forcing: step j solves
+    # (I + dt/2 B_{j+1}) u^{j+1} = (I - dt/2 B_j) u^j + dt (f_j + f_{j+1})/2,
+    # with B_j = A_j + lam m_j from the entry-by-entry dense matrices
+    g, tg = perevo.Grid1D(0.0, 1.0, 9), perevo.TimeGrid(1.0, 16)
+    coeff = perevo.make_coefficients(g, tg, 1.0, a=0.5)
+    w = perevo.make_weight(g, tg, lambda x, t: x * (1.0 + np.sin(2 * math.pi * t)))
+    spec = perevo.make_problem(g, tg, coeff, perevo.BoundarySpec("dirichlet"), w, theta=0.5)
+    lam, dt, eye = 3.0, tg.dt, np.eye(g.n)
+    f = ForcingField.from_function(lambda x, t: np.cos(3 * x) * (1.0 + t * t), g, tg)
+    u0 = np.sin(math.pi * g.interior())
+    with pytest.warns(UserWarning, match="mesh-ratio"):  # dt above the positivity bound
+        F = prepare(spec, lam)
+    traj = mild_solution(F, u0, f)
+    B = [(oracles.dense_step_matrix(spec, lam, j) - eye) / dt for j in range(tg.M + 1)]
+    u = u0
+    for j in range(tg.M):
+        rhs = (eye - 0.5 * dt * B[j]) @ u + dt * 0.5 * (f.values[1:-1, j] + f.values[1:-1, j + 1])
+        u = np.linalg.solve(eye + 0.5 * dt * B[j + 1], rhs)
+        assert np.allclose(traj.states[j + 1], u, rtol=1e-12, atol=1e-12)
+
+
 def test_mild_solution_unforced_matches_evolve(heat_unit):
     F = prepare(heat_unit, 0.0)
     rng = np.random.default_rng(4)

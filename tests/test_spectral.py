@@ -115,14 +115,14 @@ def test_scalar_problem_single_node(n):
     lam = 3.0
     F = prepare(spec, lam)
     P = monodromy(F)
-    A = perevo.assemble_A(spec, 0)
-    dense = np.diag(A.diag + lam) + np.diag(A.upper[:-1], 1) + np.diag(A.lower[1:], -1)
+    lower, diag, upper = perevo.assemble_A(spec, 0)
+    dense = np.diag(diag + lam) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)
     step = np.linalg.inv(np.eye(n) + tgrid.dt * dense)
     ref = np.linalg.matrix_power(step, tgrid.M)
     assert np.allclose(P.P, ref, atol=1e-13)
 
 
-@pytest.mark.xfail(strict=True, reason="underflow reported as nilpotent (ROADMAP 4)")
+@pytest.mark.xfail(strict=True, reason="underflow reported as nilpotent (ROADMAP item 2)")
 @pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
 def test_constant_penalty_closed_form_at_large_penalties(lam):
     # the C02 problem: m = 1 on (0, pi), n = 128, M = 512; the period map is
