@@ -43,18 +43,19 @@ from .spectral import monodromy, periodic_eigenfunction, spectral_radius
 from . import iofmt
 
 
-def _resolve(target: str, config: str | None):
+def _resolve(target: str, config: str | None, **lattice):
     """Return (spec, pieces, label) from a scenario name or config path; pieces
-    are a config document's [limit] slabs, None for builtins."""
-    if config is not None:
-        return build_problem(config), declared_pieces(config), config
-    if target is None:
-        raise SchemaError("no scenario or config given")
-    if target in SCENARIO_NAMES:
-        return builtin_scenario(target), None, target
-    if os.path.exists(target):
-        return build_problem(target), declared_pieces(target), target
-    raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")
+    are a config document's [limit] slabs, None for builtins.  The lattice
+    keywords n and M rebuild either kind on another lattice."""
+    if config is None:
+        if target is None:
+            raise SchemaError("no scenario or config given")
+        if target in SCENARIO_NAMES:
+            return builtin_scenario(target, **lattice), None, target
+        if not os.path.exists(target):
+            raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")
+        config = target
+    return build_problem(config, **lattice), declared_pieces(config), config
 
 
 def _outdir(args) -> str:
@@ -245,14 +246,14 @@ def cmd_kernel(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.time()
+    k = args.refine
+    if k < 1:
+        raise SchemaError(f"--refine needs K >= 1, got {k}")
     spec, _, label = _resolve(args.target, args.config)
-    if args.refine > 1:
-        # mask-only refinement: rebuild the problem on a finer lattice
-        k = args.refine
-        g, tg = spec.grid, spec.tgrid
-        if args.config is not None or os.path.exists(args.target or ""):
-            raise SchemaError("--refine currently applies to builtin scenarios only")
-        spec = builtin_scenario(args.target, n=k * (g.n + 1) - 1, M=k * tg.M)
+    if k > 1:
+        # mask-only refinement: rebuild the target on the k-times finer lattice
+        spec, _, _ = _resolve(args.target, args.config,
+                              n=k * (spec.grid.n + 1) - 1, M=k * spec.tgrid.M)
     outdir = _outdir(args)
     mask = build_mask(spec.weight, spec.grid, spec.tgrid)
     report = check_assumption(mask)
@@ -334,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="vanishing-set admissibility check")
     _add_common(p)
     p.add_argument("--refine", type=int, default=1,
-                   help="lattice refinement factor for the mask check")
+                   help="rebuild the target on a K-times finer lattice (K >= 1)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("demo", help="canned end-to-end run")

@@ -183,14 +183,19 @@ def _lattice(cp, section, key, grid, tgrid, default, weight_ok=False):
 # public entry points
 # ---------------------------------------------------------------------------
 
-def build_problem(text_or_path: str) -> model.ProblemSpec:
-    """Parse a config document and build the validated ProblemSpec."""
+def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
+    """Parse a config document and build the validated ProblemSpec.
+
+    n and M, when given, replace the document's [grid] n and [time] M, as the
+    same keywords do for model.builtin_scenario.
+    """
     cp = _read(text_or_path)
     _validate_keys(cp)
 
     grid = model.Grid1D(_number(cp, "grid", "x_lo"), _number(cp, "grid", "x_hi"),
-                        _number(cp, "grid", "n", cast=int))
-    tgrid = model.TimeGrid(_number(cp, "time", "T"), _number(cp, "time", "M", cast=int))
+                        _number(cp, "grid", "n", cast=int) if n is None else n)
+    tgrid = model.TimeGrid(_number(cp, "time", "T"),
+                           _number(cp, "time", "M", cast=int) if M is None else M)
 
     coeff = model.make_coefficients(
         grid, tgrid,

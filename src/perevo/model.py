@@ -344,11 +344,6 @@ def snap_to_level(tgrid: TimeGrid, t: float) -> float:
     return j * tgrid.dt
 
 
-def _heat_baseline(x_lo=0.0, x_hi=math.pi, T=1.0, n=128, M=512, D=1.0, bc="dirichlet",
-                   theta=1.0):
-    return _scenario(Grid1D(x_lo, x_hi, n), TimeGrid(T, M), D, bc, 0.0, theta)
-
-
 def du_peng_weight(grid: Grid1D, tgrid: TimeGrid, u_lo=0.0, u_hi=0.5, t_switch=0.5):
     """Weight samples that are off everywhere before t_switch, then one outside
     [u_lo, u_hi).
@@ -431,55 +426,45 @@ def staircase_weight(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
                         grid, tgrid)
 
 
-def _scenario(grid, tgrid, D, bc, weight, theta):
-    coeff = make_coefficients(grid, tgrid, D)
-    return make_problem(grid, tgrid, coeff, BoundarySpec(bc), make_weight(grid, tgrid, weight),
-                        theta)
+#: keywords every builtin takes, with the defaults the rows below override
+_LATTICE = dict(x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512, D=1.0, bc="dirichlet", theta=1.0)
 
-
-def _du_peng(u_lo=0.0, u_hi=0.5, t_switch=0.5, x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512,
-             D=1.0, bc="dirichlet", theta=1.0):
-    grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
-    return _scenario(grid, tgrid, D, bc, du_peng_weight(grid, tgrid, u_lo, u_hi, t_switch), theta)
-
-
-def _counterexample(xs=None, ts=None, x_lo=0.0, x_hi=1.0, T=1.0, n=60, M=600, D=1.0,
-                    bc="dirichlet", theta=1.0):
-    """Staircase weight whose vanishing region is connected but only by paths
-    that would have to move backwards in time; the hard-wall limit of the
-    period map is the zero operator."""
-    grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
-    return _scenario(grid, tgrid, D, bc, staircase_weight(grid, tgrid, xs, ts), theta)
-
-
-def _separable(sx_lo=0.5, sx_hi=1.0, st_lo=0.5, st_hi=1.0, x_lo=0.0, x_hi=1.0, T=1.0,
-               n=64, M=512, D=1.0, bc="dirichlet", theta=1.0):
-    """Product weight 1_[sx_lo, sx_hi)(x) * 1_[st_lo, st_hi)(t)."""
-    grid, tgrid = Grid1D(x_lo, x_hi, n), TimeGrid(T, M)
-    return _scenario(grid, tgrid, D, bc, box_weight(grid, tgrid, sx_lo, sx_hi, st_lo, st_hi),
-                     theta)
-
-
+#: one row per builtin: (defaults over _LATTICE, weight builder or None,
+#: builtin keyword -> builder keyword).  The remaining keywords go to the
+#: weight builder and are the builtin's geometry.
 _SCENARIOS = {
-    "heat_baseline": _heat_baseline,
-    "du_peng": _du_peng,
-    "counterexample": _counterexample,
-    "separable": _separable,
+    "heat_baseline": (dict(x_hi=math.pi, n=128), None, {}),
+    "du_peng": ({}, du_peng_weight, {}),
+    # staircase whose vanishing region is connected only by paths that move
+    # backwards in time; the hard-wall limit of the period map is zero
+    "counterexample": (dict(n=60, M=600), staircase_weight, {}),
+    # product weight 1_[sx_lo, sx_hi)(x) * 1_[st_lo, st_hi)(t)
+    "separable": (dict(sx_lo=0.5, sx_hi=1.0, st_lo=0.5, st_hi=1.0), box_weight,
+                  dict(sx_lo="x1", sx_hi="x2", st_lo="t1", st_hi="t2")),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def builtin_scenario(name: str, **params) -> ProblemSpec:
-    """Build one of the canned configurations by name.
+    """Build the builtin ``name`` (one of SCENARIO_NAMES) from its _SCENARIOS row.
 
-    Recognized names: heat_baseline, du_peng, counterexample, separable.
-    Keyword overrides (n, M, T, domain endpoints, scenario geometry) are
-    forwarded to the underlying builder.
+    Every builtin takes the _LATTICE keywords (domain, period, n, M, D, bc,
+    theta); the rest override the geometry its weight builder takes.  A
+    builtin without a weight builder has m = 0.
     """
     try:
-        builder = _SCENARIOS[name]
+        defaults, weight, rename = _SCENARIOS[name]
     except KeyError:
         raise BadScenarioParams(
             f"unknown scenario {name!r}; expected one of {sorted(_SCENARIOS)}"
         ) from None
-    return builder(**params)
+    kw = {**_LATTICE, **defaults, **params}
+    lat = {key: kw.pop(key) for key in _LATTICE}
+    grid, tgrid = Grid1D(lat["x_lo"], lat["x_hi"], lat["n"]), TimeGrid(lat["T"], lat["M"])
+    geometry = {rename.get(key, key): value for key, value in kw.items()}
+    if weight is None and geometry:
+        raise TypeError(f"{name} got unexpected keyword arguments {sorted(geometry)}")
+    m = 0.0 if weight is None else weight(grid, tgrid, **geometry)
+    coeff = make_coefficients(grid, tgrid, lat["D"])
+    return make_problem(grid, tgrid, coeff, BoundarySpec(lat["bc"]), make_weight(grid, tgrid, m),
+                        lat["theta"])

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, TrivialLimit
-from .evolve import StepFactorization, evolve_state, iter_states
+from .evolve import StepFactorization, evolve_state, iter_states, prepare
 from .model import ProblemSpec
 
 __all__ = [
@@ -168,8 +168,6 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int 
 def principal_pair(spec: ProblemSpec, lam: float, tol: float = DEFAULT_TOL,
                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Convenience composition: prepare, build the period map, power-iterate."""
-    from .evolve import prepare
-
     F = prepare(spec, lam)
     return spectral_radius(monodromy(F), tol=tol, max_iter=max_iter)
 

@@ -5,6 +5,8 @@ import os
 import numpy as np
 import pytest
 
+import perevo
+from perevo.admissibility import build_mask, mask_text
 from perevo.cli import main
 from perevo.evolve import column_workers
 
@@ -127,6 +129,35 @@ def test_check_refine_flag(tmp_path):
     lines = (tmp_path / "r" / "mask.txt").read_text().splitlines()
     spec_lines = 2 * 512 + 1  # refined time levels plus one
     assert len(lines) == spec_lines
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_check_refine_below_one_exit_2(tmp_path, capsys, k):
+    assert main(["check", "du_peng", "--refine", k, "--out", str(tmp_path / "r")]) == 2
+    assert f"--refine needs K >= 1, got {k}" in capsys.readouterr().err
+    assert not (tmp_path / "r" / "mask.txt").exists()
+
+
+def test_check_refines_a_config_document(tmp_path):
+    # the document spells out du_peng at n = 16, M = 32; refined twice it is
+    # the builtin at n = 33, M = 64
+    cfg = _cfg(tmp_path, weight="du_peng(0.0, 0.5, 0.5)")
+    ref = perevo.builtin_scenario("du_peng", n=33, M=64)
+    mask = mask_text(build_mask(ref.weight, ref.grid, ref.tgrid))
+    for name, argv in (("doc", [cfg]), ("flag", ["--config", cfg])):
+        out = tmp_path / name
+        assert main(["check", *argv, "--refine", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["digest"] == ref.digest() and manifest["config"] == cfg
+        assert (out / "mask.txt").read_text() == mask
+
+
+def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "du_peng").write_text(MINI.format(weight="1.0"))
+    assert main(["check", "du_peng", "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert manifest["digest"] == perevo.builtin_scenario("du_peng").digest()
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

@@ -188,6 +188,25 @@ def test_digest_deterministic_and_sensitive():
     assert a.digest() != c.digest()
 
 
+# pinned sha256 digests of the builtins at their default lattices: a drift in
+# any lattice bit or scalar of a builtin changes them
+@pytest.mark.parametrize("name, digest", [
+    ("heat_baseline", "c8e81111810a9ac1f7d04b63b32098dd4f781d0dbe8008930fc79cfc1b9a191f"),
+    ("du_peng", "9829a714a45a6858638011ee73f84b9bd93bfaabc7f046d4bc6825ef3f7620f1"),
+    ("counterexample", "f23236f59f1add9bc34bf9fa847661f4be0236b39f70b88bb7a18ae69ecc08c8"),
+    ("separable", "d5f41371444e1a4d40dca6a350ca3ee7f4d9a64bc031f1c1799aca0d6d288b58"),
+])
+def test_builtin_digests_at_default_lattice(name, digest):
+    assert perevo.builtin_scenario(name).digest() == digest
+
+
+def test_builtin_rejects_a_keyword_it_does_not_take():
+    with pytest.raises(TypeError):
+        perevo.builtin_scenario("heat_baseline", n=8, M=8, u_lo=0.1)
+    with pytest.raises(TypeError):
+        perevo.builtin_scenario("du_peng", n=8, M=8, sx_lo=0.1)
+
+
 def test_lattices_are_immutable():
     spec = perevo.builtin_scenario("heat_baseline", n=8, M=8)
     with pytest.raises(ValueError):
