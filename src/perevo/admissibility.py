@@ -11,18 +11,25 @@ belong to the boundary, never to the vanishing region.  The checks here are
   node at every later level along lattice paths that move horizontally
   within a level or up one level, never down.
 
+All of them rest on plain numpy.  The opening is an erosion then a dilation,
+each the AND (OR) over the 3x3 block around every cell of the support padded
+with False cells, so every cell outside the lattice counts as free.  The free
+region is read through one run-label array, built once per mask
+(SpaceTimeMask.runs): level-major, one row per level, holding a unique id for
+every maximal free run of every level.  Components are the runs less the
+union-find merges of runs that share a node at consecutive levels.
 Reachability is computed level by level: within one level the reachable set
-floods maximal free runs, and moving up intersects with the next level's
-free cells.  Witness paths are re-validated cell by cell by an independent
+floods whole runs, and moving up intersects with the next level's free
+cells.  Witness paths are re-validated cell by cell by an independent
 checker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatch
 from .model import Grid1D, TimeGrid, WeightField
@@ -64,6 +71,18 @@ class SpaceTimeMask:
     def n_levels(self) -> int:
         return self.free.shape[1]
 
+    @cached_property
+    def runs(self) -> np.ndarray:
+        """Level-major (n_levels, n_nodes) int32 labels of the maximal free
+        runs: 0 on blocked cells, and ids 1, 2, ... numbered level by level
+        from node 0 up, so no two runs of the lattice share an id."""
+        free = self.free.T
+        starts = free.copy()
+        starts[:, 1:] &= ~free[:, :-1]
+        ids = np.cumsum(starts, dtype=np.int32).reshape(free.shape)
+        ids[~free] = 0
+        return ids
+
 
 def build_mask(weight: WeightField, grid: Grid1D, tgrid: TimeGrid) -> SpaceTimeMask:
     supp = weight.values >= weight.delta
@@ -80,6 +99,22 @@ def mask_text(mask: SpaceTimeMask) -> str:
     return np.hstack([cells, newline]).tobytes().decode("ascii")
 
 
+def _box3(a: np.ndarray, op) -> np.ndarray:
+    """op (np.logical_and or np.logical_or) over the 3x3 block around each
+    cell, reading cells outside the array as False; the block is the product
+    of two 3-cell segments, so it is reduced along one axis, then the other."""
+    p = np.pad(a, 1)
+    rows = op(p[:-2], p[1:-1])
+    op(rows, p[2:], out=rows)
+    out = op(rows[:, :-2], rows[:, 1:-1])
+    return op(out, rows[:, 2:], out=out)
+
+
+def _opening(supp: np.ndarray) -> np.ndarray:
+    """Erosion then dilation of supp by the full 3x3 block."""
+    return _box3(_box3(supp, np.logical_and), np.logical_or)
+
+
 def check_regular_support(mask: SpaceTimeMask) -> bool:
     """Support equals the opening (erosion then dilation) of itself.
 
@@ -90,10 +125,7 @@ def check_regular_support(mask: SpaceTimeMask) -> bool:
     supp = mask.supp
     if not supp.any():
         return True
-    structure = np.ones((3, 3), dtype=bool)
-    opened = ndimage.binary_dilation(ndimage.binary_erosion(supp, structure),
-                                     structure)
-    return bool(np.array_equal(opened, supp))
+    return bool(np.array_equal(_opening(supp), supp))
 
 
 def slices(mask: SpaceTimeMask, j: int) -> np.ndarray:
@@ -103,10 +135,30 @@ def slices(mask: SpaceTimeMask, j: int) -> np.ndarray:
     return np.flatnonzero(mask.free[:, j])
 
 
-def components(mask: SpaceTimeMask):
-    """4-connected component count and labels of the free region."""
-    labels, count = ndimage.label(mask.free)
-    return int(count), labels
+def components(mask: SpaceTimeMask) -> int:
+    """4-connected component count of the free region: the free runs less
+    the union-find merges of runs that share a node at consecutive levels."""
+    runs = mask.runs
+    below, above = runs[:-1], runs[1:]
+    # two runs share one stretch of nodes or none: keep the stretch's first node
+    first = (below > 0) & (above > 0)
+    first[:, 1:] &= (below[:, 1:] != below[:, :-1]) | (above[:, 1:] != above[:, :-1])
+    n_runs = int(runs.max())
+    parent = list(range(n_runs + 1))
+
+    def root(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    merges = 0
+    for a, b in zip(below[first].tolist(), above[first].tolist()):
+        ra, rb = root(a), root(b)
+        if ra != rb:
+            parent[rb] = ra
+            merges += 1
+    return n_runs - merges
 
 
 @dataclass(frozen=True)
@@ -134,27 +186,16 @@ def validate_witness(mask: SpaceTimeMask, witness: PathWitness, start, end) -> b
     return True
 
 
-def _runs(col: np.ndarray) -> np.ndarray:
-    """Label maximal free runs in one level; 0 marks blocked cells."""
-    starts = col & ~np.concatenate(([False], col[:-1]))
-    labels = np.cumsum(starts)
-    return np.where(col, labels, 0)
-
-
 def _reach_history(mask: SpaceTimeMask, y: int):
     """Reachable sets R_j for a start node y at level 0, one column at a time."""
-    free = mask.free
-    n_levels = mask.n_levels
+    free, runs = mask.free, mask.runs
     history = np.zeros_like(free)
-    labels0 = _runs(free[:, 0])
-    history[:, 0] = labels0 == labels0[y]
-    for j in range(1, n_levels):
+    history[:, 0] = runs[0] == runs[0, y]
+    for j in range(1, mask.n_levels):
         up = history[:, j - 1] & free[:, j]
         if not up.any():
             break
-        labels = _runs(free[:, j])
-        hit = np.unique(labels[up])
-        history[:, j] = np.isin(labels, hit[hit > 0])
+        history[:, j] = np.isin(runs[j], runs[j, up])
     return history
 
 
@@ -178,12 +219,11 @@ def _build_witness(mask: SpaceTimeMask, history: np.ndarray, y: int,
     reversed into a forward path.
     """
     ti, tj = target
-    free = mask.free
+    free, runs = mask.free, mask.runs
     cells = []
     cur = ti
     for j in range(tj, 0, -1):
-        labels = _runs(free[:, j])
-        run = labels == labels[cur]
+        run = runs[j] == runs[j, cur]
         candidates = np.flatnonzero(run & history[:, j - 1] & free[:, j - 1])
         w = int(candidates[np.argmin(np.abs(candidates - cur))])
         step = 1 if w >= cur else -1
@@ -204,7 +244,7 @@ def check_assumption(mask: SpaceTimeMask) -> AdmissibilityReport:
     witness path to the last free cell of the final level.
     """
     regular = check_regular_support(mask)
-    comp_count, _ = components(mask)
+    comp_count = components(mask)
     nonempty = bool(mask.free.any(axis=0).all())
     starts = slices(mask, 0)
 

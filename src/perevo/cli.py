@@ -55,6 +55,8 @@ def _resolve(target: str, config: str | None, **lattice):
         if not os.path.exists(target):
             raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")
         config = target
+    elif not os.path.exists(config):
+        raise SchemaError(f"config file {config!r} does not exist")
     return build_problem(config, **lattice), declared_pieces(config), config
 
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written from scratch against the underlying
 mathematics (closed forms, image series, one global dense solve, a plain
-queue-based flood fill) so the tests never share code paths with the
-implementations they judge.  The one package import, staircase_geometry,
-only supplies the snapped corner positions of the staircase scenario.
+queue-based flood fill) or taken from scipy.ndimage (opening and component
+labelling), so the tests never share code paths with the implementations
+they judge.  The one package import, staircase_geometry, only supplies the
+snapped corner positions of the staircase scenario.
 """
 
 import math
@@ -12,6 +13,7 @@ from collections import deque
 
 import numpy as np
 import scipy.linalg
+from scipy import ndimage
 
 from perevo.model import staircase_geometry
 
@@ -100,6 +102,18 @@ def flood_reachable(mask, start):
                 seen[ii, jj] = True
                 q.append((ii, jj))
     return seen
+
+
+def ndimage_opening(cells):
+    """Opening (erosion then dilation) by the full 3x3 block, from
+    scipy.ndimage with its default border_value=0."""
+    block = np.ones((3, 3), dtype=bool)
+    return ndimage.binary_dilation(ndimage.binary_erosion(cells, block), block)
+
+
+def ndimage_component_count(cells):
+    """4-connected component count, from scipy.ndimage.label's default cross."""
+    return int(ndimage.label(cells)[1])
 
 
 def dense_period_map(F):

@@ -3,8 +3,9 @@ import pytest
 
 import oracles
 import perevo
-from perevo.admissibility import (build_mask, check_assumption, check_regular_support,
-                                  components, mask_text, slices, validate_witness)
+from perevo.admissibility import (SpaceTimeMask, _opening, build_mask, check_assumption,
+                                  check_regular_support, components, mask_text, slices,
+                                  validate_witness)
 
 
 def _mask(mfun, n=10, M=12, T=1.0):
@@ -18,8 +19,7 @@ def test_zero_weight_all_free():
     assert mask.free[1:-1, :].all()
     assert not mask.free[0, :].any() and not mask.free[-1, :].any()
     assert np.array_equal(slices(mask, 0), np.arange(1, g.n + 1))
-    cnt, _ = components(mask)
-    assert cnt == 1
+    assert components(mask) == 1
 
 
 def test_full_weight_nothing_free():
@@ -42,6 +42,28 @@ def test_regular_support_cases():
 
     empty, _, _ = _mask(0.0)
     assert check_regular_support(empty)
+
+
+def test_opening_and_components_match_ndimage():
+    rng = np.random.default_rng(20261018)
+    cases = [np.zeros((7, 6), dtype=bool), np.ones((7, 6), dtype=bool),
+             np.ones((1, 9), dtype=bool), np.ones((9, 1), dtype=bool)]
+    cases += [rng.random(shape) < 0.6 for shape in ((1, 12), (12, 1), (1, 1))]
+    for _ in range(400):
+        shape = tuple(int(k) for k in rng.integers(1, 20, size=2))
+        cases.append(rng.random(shape) < rng.choice((0.2, 0.5, 0.8, 0.95)))
+    verdicts = set()
+    for cells in cases:
+        # an opened support is regular, so both verdicts occur
+        for supp in (cells, oracles.ndimage_opening(cells)):
+            opened = oracles.ndimage_opening(supp)
+            assert np.array_equal(_opening(supp), opened)
+            mask = SpaceTimeMask(~supp, supp, 0.5, 1.0, 1.0)
+            verdict = check_regular_support(mask)
+            assert verdict == np.array_equal(opened, supp)
+            verdicts.add(verdict)
+            assert components(mask) == oracles.ndimage_component_count(~supp)
+    assert verdicts == {True, False}
 
 
 def test_du_peng_mask_and_assumption():
@@ -86,8 +108,7 @@ def test_witness_against_independent_reachability():
 
 def test_interior_slab_two_components():
     mask, _, _ = _mask(lambda x, t: np.where((t >= 0.25) & (t < 0.5), 1.0, 0.0))
-    cnt, _ = components(mask)
-    assert cnt == 2
+    assert components(mask) == 2
     rep = check_assumption(mask)
     assert not rep.slices_nonempty  # the slab blocks entire levels
     assert not rep.assumption_holds

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,6 +71,13 @@ def test_eigen_bad_config_exit_2(tmp_path, capsys):
 def test_unknown_target_exit_2(tmp_path):
     rc = main(["eigen", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+def test_missing_config_file_exit_2(tmp_path, capsys):
+    missing = str(tmp_path / "nonexistent.cfg")
+    rc = main(["check", "du_peng", "--config", missing, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config file {missing!r} does not exist" in capsys.readouterr().err
 
 
 def test_sweep_outputs(tmp_path):
@@ -158,6 +167,22 @@ def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
     assert main(["check", "du_peng", "--out", str(tmp_path / "o")]) == 0
     manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
     assert manifest["digest"] == perevo.builtin_scenario("du_peng").digest()
+
+
+def test_check_leaves_scipy_ndimage_unimported(tmp_path):
+    # a fresh interpreter: this one has scipy.ndimage from tests/oracles.py
+    code = ("import sys\n"
+            "import perevo\n"
+            "from perevo import cli\n"
+            "assert 'scipy.ndimage' not in sys.modules, 'after import perevo'\n"
+            "assert cli.main(['check', 'counterexample', '--out', sys.argv[1]]) == 6\n"
+            "assert 'scipy.ndimage' not in sys.modules, 'after perevo check'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perevo.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PEREVO_OUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
