@@ -12,7 +12,8 @@ TARGET is a builtin scenario name (heat_baseline, du_peng, counterexample,
 separable) or a path to a config document; --config PATH forces the latter.
 Outputs land in --out (default ./perevo_out); the PEREVO_OUT environment
 variable overrides --out.  Every run writes a run_manifest.json with a stable
-digest of the resolved problem.
+digest of the resolved problem; eigen, sweep and kernel add factored_steps,
+the number of distinct step matrices factored at each penalty.
 
 Exit codes: 0 success / assumption holds; 2 bad config or arguments, or a
 sweep in which no penalty gave a valid row; 3 trivial limit (no eigenpair);
@@ -33,7 +34,7 @@ from .admissibility import build_mask, check_assumption, mask_text
 from .config import build_problem, declared_pieces, parse_lambda_list
 from .errors import (NoConvergence, PerevoError, SchemaError, SingularStep, TrivialLimit,
                      TrivialLimitComparison)
-from .evolve import column_workers, prepare, trajectory_rows, Trajectory
+from .evolve import column_workers, distinct_steps, prepare, trajectory_rows, Trajectory
 from .kernel import envelope_violation, fit_gaussian, kernel_matrix, check_monotone_in_lambda
 from .limitflow import (classify_divergent, compare_to_limit, limit_monodromy, sweep,
                         vanishing_rate)
@@ -55,8 +56,6 @@ def _resolve(target: str, config: str | None, **lattice):
         if not os.path.exists(target):
             raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")
         config = target
-    elif not os.path.exists(config):
-        raise SchemaError(f"config file {config!r} does not exist")
     return build_problem(config, **lattice), declared_pieces(config), config
 
 
@@ -66,8 +65,8 @@ def _outdir(args) -> str:
     return out
 
 
-def _manifest(outdir, command, label, spec: ProblemSpec, outputs, t0):
-    iofmt.write_json(os.path.join(outdir, "run_manifest.json"), {
+def _manifest(outdir, command, label, spec: ProblemSpec, outputs, t0, factored_steps=None):
+    record = {
         "command": command,
         "config": label,
         "digest": spec.digest(),
@@ -75,7 +74,10 @@ def _manifest(outdir, command, label, spec: ProblemSpec, outputs, t0):
         "wall_time_s": time.time() - t0,
         "column_workers": column_workers(),
         "version": __version__,
-    })
+    }
+    if factored_steps is not None:
+        record["factored_steps"] = factored_steps
+    iofmt.write_json(os.path.join(outdir, "run_manifest.json"), record)
 
 
 def _eigenfunction_csv(path, eig_samples, spec):
@@ -122,7 +124,7 @@ def cmd_eigen(args) -> int:
         outputs.append("eigenfunction.csv")
         print(f"lambda={res.lam:g}  r={res.r:.12g}  mu={res.mu:.12g}  "
               f"residual={res.residual:.3e}  iterations={res.iterations}")
-    _manifest(outdir, "eigen", label, spec, outputs, t0)
+    _manifest(outdir, "eigen", label, spec, outputs, t0, distinct_steps(spec))
     return code
 
 
@@ -181,7 +183,7 @@ def cmd_sweep(args) -> int:
     print(f"divergent={report['divergent']}")
     _manifest(outdir, "sweep", label, spec,
               ["sweep.csv", "convergence_report.json", "mu_vs_lambda.dat",
-               "seps_vs_lambda.dat"], t0)
+               "seps_vs_lambda.dat"], t0, distinct_steps(spec))
     if not any(r.valid for r in records):
         print("error: no penalty gave a valid row (singular steps or no convergence)",
               file=sys.stderr)
@@ -239,7 +241,8 @@ def cmd_kernel(args) -> int:
     mid = len(xs) // 2
     print(f"kernel peak={K.entries.max():.6g}  diag mid={K.entries[mid, mid]:.6g}  "
           f"c={fit.cconst:.4f}  envelope violation={violation:.3e}")
-    _manifest(outdir, "kernel", label, spec, ["kernel.csv", "gaussian_fit.json"], t0)
+    _manifest(outdir, "kernel", label, spec, ["kernel.csv", "gaussian_fit.json"], t0,
+              distinct_steps(spec))
     if violation > 0:
         print("Gaussian envelope violated", file=sys.stderr)
         return 5

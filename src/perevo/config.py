@@ -51,10 +51,15 @@ _REQUIRED = {("grid", "x_lo"), ("grid", "x_hi"), ("grid", "n"),
 
 
 def _read(text_or_path: str) -> configparser.ConfigParser:
+    """Parse document text, or the file at a path: a one-line string that does
+    not start with '[' (a document's first section header) names a file."""
     cp = configparser.ConfigParser(interpolation=None, strict=True)
     cp.optionxform = str  # keep key case (T vs t)
+    is_path = "\n" not in text_or_path and not text_or_path.lstrip().startswith("[")
+    if is_path and not os.path.exists(text_or_path):
+        raise SchemaError(f"config file {text_or_path!r} does not exist")
     try:
-        if os.path.exists(text_or_path) and not text_or_path.lstrip().startswith("["):
+        if is_path:
             with open(text_or_path, "r", encoding="utf-8") as fh:
                 cp.read_file(fh, source=text_or_path)
         else:
@@ -184,7 +189,8 @@ def _lattice(cp, section, key, grid, tgrid, default, weight_ok=False):
 # ---------------------------------------------------------------------------
 
 def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
-    """Parse a config document and build the validated ProblemSpec.
+    """Parse a config document, given as text or as a file path, and build the
+    validated ProblemSpec.
 
     n and M, when given, replace the document's [grid] n and [time] M, as the
     same keywords do for model.builtin_scenario.

@@ -11,8 +11,12 @@ inside L_j, so arbitrarily large lam never destabilizes the step.  For
 theta = 1 with the nonpositive off-diagonal sign pattern each L_j is an
 M-matrix and the step map is entrywise nonnegative; prepare() certifies this.
 
-prepare() factors every L_j once (LAPACK dgttrf); every later solve, and so
-every evolution, period map and kernel, reuses those factors through dgttrs.
+prepare() factors each distinct L_j once (LAPACK dgttrf); every later solve,
+and so every evolution, period map and kernel, reuses those factors through
+dgttrs.  The weights of interest are piecewise constant in time, so the
+levels fall into runs of bitwise-identical coefficient and weight samples
+(level_runs); every step into one run shares one factorization, and a
+problem whose levels all differ gets one per step.
 
 The same stepper runs the hard-wall problem, the lam -> infinity limit in
 which the solution lives only on the nodes of the vanishing region: given a
@@ -52,6 +56,8 @@ __all__ = [
     "EnergyReport",
     "ForcingField",
     "prepare",
+    "level_runs",
+    "distinct_steps",
     "evolve_state",
     "column_workers",
     "iter_states",
@@ -88,8 +94,10 @@ class StepFactorization:
     """Factored step matrices for one penalty value over a full period.
 
     bands = (lower, diag, upper) and weight hold the stencil and the weight
-    samples m(x_i, t_j) as (M+1, n) arrays, row j at level j; lu = (dl, d, du,
-    du2, ipiv) stacks the dgttrf factors of L_j (levels j -> j+1) in row j.
+    samples m(x_i, t_j) as (M+1, n) arrays, row j at level j.  steps[j] is the
+    dgttrf factorization (dl, d, du, du2, ipiv) of L_j (levels j -> j+1);
+    steps whose levels j+1 lie in one run of level_runs share one
+    factorization, the very same tuple.
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level, every L_j has positive row
     sums (an M-matrix), and for theta < 1 the explicit diagonal is >= 0.
@@ -103,7 +111,7 @@ class StepFactorization:
     lam: float
     bands: tuple
     weight: np.ndarray
-    lu: tuple
+    steps: tuple = field(repr=False)  # M entries: a repr would print every factor
     positivity: bool
     peclet_ok: bool
     active: np.ndarray | None = field(default=None, repr=False)
@@ -139,11 +147,38 @@ class StepFactorization:
             rhs = np.where(keep, rhs, 0.0)
         if self.n == 2:  # factored with a decoupled third row, see prepare()
             rhs = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
-        return dgttrs(*(f[j] for f in self.lu), rhs)[0][:self.n]
+        return dgttrs(*self.steps[j], rhs)[0][:self.n]
 
     def step_once(self, j: int, v: np.ndarray) -> np.ndarray:
         """Apply the single step map from level j to level j+1."""
         return self.solve(j, self.explicit(j, v))
+
+
+def level_runs(spec: ProblemSpec, active: np.ndarray | None = None) -> np.ndarray:
+    """Run id of each level 0..M, counting up from 0 along the levels.
+
+    Consecutive levels share a run when their columns of D, a, b, c0 and the
+    weight, and their rows of active when given, are bitwise identical.  The
+    columns are compared as int64 bits, so 0.0 and -0.0 differ.  All levels
+    of one run have the same stencil, and all steps into one run the same
+    step matrix.
+    """
+    new = np.zeros(spec.tgrid.M, dtype=bool)  # new[j]: level j+1 starts a run
+    for values in (spec.coeff.D, spec.coeff.a, spec.coeff.b, spec.coeff.c0, spec.weight.values):
+        if new.all():
+            break
+        bits = values.view(np.int64)
+        new |= (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+    if active is not None:
+        new |= (active[1:] != active[:-1]).any(axis=1)
+    return np.concatenate(([0], np.cumsum(new)))
+
+
+def distinct_steps(spec: ProblemSpec) -> int:
+    """How many step matrices prepare(spec, lam) factors: the runs that levels
+    1..M span."""
+    runs = level_runs(spec)
+    return int(runs[-1] - runs[1]) + 1
 
 
 def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> StepFactorization:
@@ -154,51 +189,72 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     The positivity certificate is that of the unmasked steps, which implies
     it for the masked ones: cutting a nonpositive coupling or replacing a row
     by an identity row keeps the sign pattern and the positive row sums.
+
+    The stencil, the step matrices, their checks and the certificate are
+    evaluated once per run of identical levels (level_runs), and dgttrf runs
+    once per run that some step enters; the per-level bands are then
+    gathered from the runs' rows.  When every level is its own run nothing
+    is gathered.
     """
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
     M, dt, theta = spec.tgrid.M, spec.tgrid.dt, spec.theta
-    lower, diag, upper = stencil_bands(spec)
+    run = level_runs(spec, active)
+    starts = np.flatnonzero(np.diff(run, prepend=-1))  # first level of each run
+    repeated = len(starts) <= M
+    rows = starts if repeated else slice(None)
+    lower, diag, upper = stencil_bands(spec, rows)  # row r belongs to run r
     weight = np.ascontiguousarray(spec.weight.values[1:-1, :].T)
-    # L_j = I + theta dt (A + lam M) at level j+1, in dgttrf's band layout
+    w = weight[rows]
+    # L_j = I + theta dt (A + lam M) at level j+1, in dgttrf's band layout;
+    # steps 0..M-1 enter the runs run[1]..run[M]
+    used = slice(run[1], None)
     s = theta * dt
-    dl = lower[1:, 1:] * s
-    d = diag[1:] * s + (1.0 + s * lam * weight[1:])
-    du = upper[1:, :-1] * s
-    bands = (lower, diag, upper)
+    dl = lower[used, 1:] * s
+    d = diag[used] * s + (1.0 + s * lam * w[used])
+    du = upper[used, :-1] * s
     if active is not None:
-        cut = ~(active[1:, :-1] & active[1:, 1:])  # nodes i, i+1 not both active at j+1
+        act = active[rows][used]
+        cut = ~(act[:, :-1] & act[:, 1:])  # nodes i, i+1 not both active
         dl[cut] = du[cut] = 0.0
-        d[~active[1:]] = 1.0
-        # the explicit part of step j reads bands row j
-        bands = (lower.copy(), diag, upper.copy())
-        bands[0][:-1, 1:][cut] = bands[2][:-1, :-1][cut] = 0.0
+        d[~act] = 1.0
     finite = np.isfinite(dl).all(1) & np.isfinite(d).all(1) & np.isfinite(du).all(1)
     if spec.grid.n == 2:
         # dgttrf needs n >= 3: append an identity row that couples to nothing
         dl, du = np.pad(dl, ((0, 0), (0, 1))), np.pad(du, ((0, 0), (0, 1)))
         d = np.pad(d, ((0, 0), (0, 1)), constant_values=1.0)
-    du2, ipiv = np.empty((M, d.shape[1] - 2)), np.empty(d.shape, dtype=np.int32)
-    for j in range(M):
-        if not finite[j]:
-            raise SingularStep(f"non-finite step matrix at step {j}")
-        dl[j], d[j], du[j], du2[j], ipiv[j], info = dgttrf(dl[j], d[j], du[j])
+    factors = []
+    for r, level in enumerate(starts[used].tolist()):
+        step = max(level - 1, 0)  # the first step into this run
+        if not finite[r]:
+            raise SingularStep(f"non-finite step matrix at step {step}")
+        # the rows are factored in place when dgttrf can, with no new arrays
+        *lu, info = dgttrf(dl[r], d[r], du[r], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
         if info > 0:
-            raise SingularStep(f"factorization failed at step {j}: zero pivot {info}")
+            raise SingularStep(f"factorization failed at step {step}: zero pivot {info}")
+        factors.append(tuple(lu))
+    steps = tuple(factors[r] for r in (run[1:] - run[1]).tolist())
 
     peclet = mesh_peclet_ok(spec)
     m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
-    dominant = np.all(1.0 + s * (lower[1:] + diag[1:] + upper[1:] + lam * weight[1:]) > 0.0)
+    dominant = np.all(1.0 + s * (lower[used] + diag[used] + upper[used] + lam * w[used]) > 0.0)
     explicit_ok = True
     if theta < 1.0:
-        explicit_ok = np.all(1.0 - (1.0 - theta) * dt * (diag[:-1] + lam * weight[:-1]) >= 0.0)
+        expl = slice(None, run[-2] + 1)  # the explicit part of step j reads level j
+        explicit_ok = np.all(1.0 - (1.0 - theta) * dt * (diag[expl] + lam * w[expl]) >= 0.0)
         if not explicit_ok:
             warnings.warn("theta < 1 mesh-ratio check failed: explicit part has negative "
                           "entries, positivity is not certified", stacklevel=2)
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    return StepFactorization(spec, float(lam), bands, weight, (dl, d, du, du2, ipiv),
+    if repeated:
+        lower, diag, upper = lower[run], diag[run], upper[run]
+    if active is not None:
+        # the explicit part of step j reads bands row j
+        cut = ~(active[1:, :-1] & active[1:, 1:])
+        lower[:-1, 1:][cut] = upper[:-1, :-1][cut] = 0.0
+    return StepFactorization(spec, float(lam), (lower, diag, upper), weight, steps,
                              bool(m_pattern and dominant and explicit_ok), peclet, active)
 
 

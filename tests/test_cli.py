@@ -92,6 +92,7 @@ def test_sweep_outputs(tmp_path):
     assert rep["mu_inf"] > 0
     mu_dat = (out / "mu_vs_lambda.dat").read_text().splitlines()
     assert len(mu_dat) == 5 and all(len(l.split()) == 2 for l in mu_dat)
+    assert json.loads((out / "run_manifest.json").read_text())["factored_steps"] == 3
 
 
 def test_sweep_counterexample_divergent(tmp_path):
@@ -266,8 +267,19 @@ def test_demo_heat_baseline(tmp_path):
     assert (tmp_path / "demo" / "gaussian_fit.json").exists()
 
 
+def test_manifest_records_factored_steps(tmp_path):
+    # one distinct step matrix for heat_baseline, three runs of levels for du_peng
+    assert main(["eigen", "heat_baseline", "--out", str(tmp_path / "e")]) == 0
+    assert main(["kernel", "du_peng", "--s", "0", "--t", "0.05",
+                 "--out", str(tmp_path / "k")]) == 0
+    steps = {d: json.loads((tmp_path / d / "run_manifest.json").read_text())["factored_steps"]
+             for d in "ek"}
+    assert steps == {"e": 1, "k": 3}
+
+
 def test_manifest_records_column_workers(tmp_path):
     out = tmp_path / "out"
     main(["check", "du_peng", "--out", str(out)])
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["column_workers"] == column_workers() >= 1
+    assert "factored_steps" not in manifest  # check factors no step

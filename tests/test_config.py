@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,11 @@ def test_config_from_file(tmp_path):
     p.write_text(BASE)
     spec = build_problem(str(p))
     assert spec.grid.n == 16
+
+
+def test_missing_config_file_is_named(tmp_path):
+    missing = str(tmp_path / "missing.cfg")
+    with pytest.raises(SchemaError, match=re.escape(f"config file {missing!r} does not exist")):
+        build_problem(missing)
+    with pytest.raises(SchemaError, match="config file 'missing.cfg' does not exist"):
+        declared_pieces("missing.cfg")

@@ -15,7 +15,10 @@ from perevo import evolve
 from perevo.errors import InvariantError, LevelOrder
 from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
                            prepare, trajectory_rows)
+from perevo.kernel import kernel_matrix
+from perevo.operator import band_matvec, stencil_bands
 from perevo.spectral import monodromy
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 
 def test_prepare_certificate_baseline(heat_small):
@@ -39,7 +42,32 @@ def test_prepare_warns_on_peclet_violation():
     assert not F.positivity
 
 
-def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, monkeypatch):
+SIN_T = """
+[grid]
+x_lo = 0.0
+x_hi = 1.0
+n = 16
+
+[time]
+T = 1.0
+M = 32
+
+[coefficients]
+D = sin_t(1.0, 0.5)
+
+[boundary]
+bc = dirichlet
+
+[weight]
+weight = indicator_box(0.25, 0.75, 0.25, 0.75)
+"""
+
+
+def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, du_peng_small,
+                                                           monkeypatch):
+    # one dgttrf per run of identical levels that a step enters: heat is one
+    # run, du_peng three (before, inside and after its switch, level M being
+    # level 0 again), and sin_t changes D at every level
     counts = {"dgttrf": 0, "dgttrs": 0}
 
     def counting(name):
@@ -52,10 +80,99 @@ def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, monkeypat
 
     for name in counts:
         monkeypatch.setattr(evolve, name, counting(name))
-    F = prepare(heat_small, 1.0)
-    assert counts == {"dgttrf": heat_small.tgrid.M, "dgttrs": 0}
-    evolve_state(F, np.ones(heat_small.grid.n), 0, 3)
-    assert counts == {"dgttrf": heat_small.tgrid.M, "dgttrs": 3}
+    sin_t = perevo.build_problem(SIN_T)
+    for spec, factored in ((heat_small, 1), (du_peng_small, 3), (sin_t, sin_t.tgrid.M)):
+        counts.update(dgttrf=0, dgttrs=0)
+        F = prepare(spec, 1.0)
+        assert counts == {"dgttrf": factored, "dgttrs": 0}
+        assert len({id(f) for f in F.steps}) == evolve.distinct_steps(spec) == factored
+        assert len(F.steps) == spec.tgrid.M
+        assert "steps=" not in repr(F)
+        evolve_state(F, np.ones(spec.grid.n), 0, 3)
+        assert counts == {"dgttrf": factored, "dgttrs": 3}
+
+
+def _reference_evolve(spec, lam, state, from_level, to_level, active=None):
+    """Step state with the dgttrf factors of every level's own step matrix,
+    built from stencil_bands(spec) with no sharing between levels."""
+    lower, diag, upper = stencil_bands(spec)
+    weight = spec.weight.values[1:-1].T
+    theta, dt = spec.theta, spec.tgrid.dt
+    s, fac = theta * dt, (1.0 - theta) * dt
+    for j in range(from_level, to_level):
+        dl = lower[j + 1, 1:] * s
+        d = diag[j + 1] * s + (1.0 + s * lam * weight[j + 1])
+        du = upper[j + 1, :-1] * s
+        lo, up = lower[j].copy(), upper[j].copy()
+        if active is not None:
+            cut = ~(active[j + 1, :-1] & active[j + 1, 1:])
+            dl[cut] = du[cut] = 0.0
+            d[~active[j + 1]] = 1.0
+            lo[1:][cut] = up[:-1][cut] = 0.0
+        *lu, info = dgttrf(dl, d, du)
+        assert info == 0
+        if theta < 1.0:
+            state = state - fac * (band_matvec(lo, diag[j], up, state)
+                                   + lam * weight[j][:, None] * state)
+        if active is not None:
+            state = np.where(active[j + 1][:, None], state, 0.0)
+        state = dgttrs(*lu, state)[0]
+    return state
+
+
+def _free_mask(spec):
+    return np.ascontiguousarray(
+        perevo.build_mask(spec.weight, spec.grid, spec.tgrid).free[1:-1].T)
+
+
+def _wall_mask(spec):
+    """A mask that changes where the weight does not: a wall at a third of the
+    nodes for the middle half of the period."""
+    active = np.ones((spec.tgrid.M + 1, spec.grid.n), dtype=bool)
+    active[spec.tgrid.M // 4:3 * spec.tgrid.M // 4, spec.grid.n // 3] = False
+    return active
+
+
+@pytest.mark.parametrize("target, lattice, mask", [
+    ("heat_baseline", {}, None),
+    ("du_peng", {}, None),
+    ("counterexample", {"n": 20, "M": 60}, None),
+    ("du_peng", {}, _free_mask),
+    ("du_peng", {"theta": 0.5}, None),
+    ("du_peng", {"theta": 0.5}, _free_mask),
+    ("heat_baseline", {}, _wall_mask),
+    (SIN_T, {}, None),
+], ids=["heat", "du_peng", "counterexample", "oracle", "theta_half", "oracle_theta_half",
+        "heat_walled", "sin_t"])
+def test_shared_factors_match_per_level_factors_bit_for_bit(target, lattice, mask):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # theta = 1/2 fails the mesh-ratio certificate
+        if target == SIN_T:
+            spec = perevo.build_problem(SIN_T)
+        else:
+            spec = perevo.builtin_scenario(target, **{"n": 32, "M": 64, **lattice})
+        active = None if mask is None else mask(spec)
+        n, M = spec.grid.n, spec.tgrid.M
+        for lam in (0.0, 10.0):
+            F = prepare(spec, lam, active)
+            want = _reference_evolve(spec, lam, np.eye(n), 0, M, active)
+            assert monodromy(F).P.tobytes() == want.tobytes()
+            want = _reference_evolve(spec, lam, np.eye(n), 3, M // 2 + 1, active) / spec.grid.h
+            assert kernel_matrix(F, 3, M // 2 + 1).entries.tobytes() == want.tobytes()
+
+
+def test_levels_differing_in_the_sign_of_a_zero_do_not_share_factors():
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 8), perevo.TimeGrid(1.0, 8)
+    c0 = np.zeros((grid.n + 2, tgrid.M + 1))
+    c0[:, 5:] = -0.0  # equal to 0.0 as floats, not as bits
+    spec = perevo.make_problem(grid, tgrid, perevo.make_coefficients(grid, tgrid, 1.0, c0=c0),
+                               perevo.BoundarySpec("dirichlet"), perevo.make_weight(grid, tgrid))
+    assert evolve.level_runs(spec).tolist() == [0] * 5 + [1] * 4
+    F = prepare(spec, 1.0)
+    assert len({id(f) for f in F.steps}) == 2
+    assert F.steps[3] is F.steps[0] and F.steps[4] is F.steps[7] is not F.steps[3]
+    want = _reference_evolve(spec, 1.0, np.eye(grid.n), 0, tgrid.M)
+    assert monodromy(F).P.tobytes() == want.tobytes()
 
 
 def test_negative_penalty_rejected(heat_small):
