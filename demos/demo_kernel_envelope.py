@@ -15,7 +15,7 @@ import warnings
 
 import perevo
 from perevo.evolve import prepare
-from perevo.kernel import envelope_violation, fit_gaussian, kernel_matrix, smoothing_norm
+from perevo.kernel import envelope_violation, fit_gaussian, kernel_matrix
 
 spec = perevo.builtin_scenario("heat_baseline", n=127, M=800)
 F = prepare(spec, 0.0)
@@ -29,10 +29,6 @@ K = kernel_matrix(F, 0, 40)  # time gap 0.05
 mid = spec.grid.n // 2
 print(f"\nkernel peak at gap 0.05: {K.entries[mid, mid]:.4f} "
       f"(free space: {(4 * math.pi * 0.05) ** -0.5:.4f})")
-
-print("\noperator norms of the gap-0.05 evolution map:")
-for p, q in ((1, 1), (2, 2), (1, math.inf)):
-    print(f"  l{p} -> l{q}: {smoothing_norm(K, p, q):.4f}")
 
 # the same envelope dominates every penalized kernel on the weighted problem
 dp = perevo.builtin_scenario("du_peng")

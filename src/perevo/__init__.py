@@ -12,9 +12,8 @@ from .operator import assemble_A, mesh_peclet_ok, garding_audit
 from .evolve import (StepFactorization, Trajectory, EnergyReport, ForcingField,
                      prepare, evolve_state, mild_solution, energy_report,
                      discrete_v_norm_sq)
-from .kernel import (KernelMatrix, GaussianFit, kernel_matrix, apply_kernel,
-                     check_monotone_in_lambda, fit_gaussian, envelope_violation,
-                     smoothing_norm, smoothing_exponent)
+from .kernel import (KernelMatrix, GaussianFit, kernel_matrix, check_monotone_in_lambda,
+                     fit_gaussian, envelope_violation)
 from .spectral import (MonodromyMatrix, SpectralResult, PeriodicEigenfunction,
                        monodromy, spectral_radius, principal_pair,
                        periodic_eigenfunction)

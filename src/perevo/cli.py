@@ -108,6 +108,7 @@ def cmd_eigen(args) -> int:
             "converged": False,
         })
         print(f"no convergence within {exc.max_iter} iterations", file=sys.stderr)
+        _manifest(outdir, "eigen", label, spec, ["spectral_result.json"], t0, distinct_steps(spec))
         return 4
     outputs = ["spectral_result.json"]
     iofmt.write_json(os.path.join(outdir, "spectral_result.json"), {

@@ -2,7 +2,8 @@
 
 A document is INI-style: sections [grid], [time], [coefficients], [boundary],
 [weight], [scheme], and an optional [limit] section declaring slabs that
-trace the weight's free set.  Coefficient and weight values are either bare
+trace the weight's free set.  [scheme] theta, when given, must be 1: the time
+stepper is fully implicit.  Coefficient and weight values are either bare
 numbers or calls from a small fixed catalog:
 
     const(v)                         constant v
@@ -197,6 +198,9 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     """
     cp = _read(text_or_path)
     _validate_keys(cp)
+    theta = _number(cp, "scheme", "theta", 1.0)
+    if theta != 1.0:
+        raise SchemaError(f"[scheme] theta must be 1 (the fully implicit stepper), got {theta!r}")
 
     grid = model.Grid1D(_number(cp, "grid", "x_lo"), _number(cp, "grid", "x_hi"),
                         _number(cp, "grid", "n", cast=int) if n is None else n)
@@ -223,9 +227,7 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
 
     wl = _lattice(cp, "weight", "weight", grid, tgrid, 0.0, weight_ok=True)
     weight = model.make_weight(grid, tgrid, m=wl, delta=_number(cp, "weight", "delta"))
-
-    theta = _number(cp, "scheme", "theta", 1.0)
-    return model.make_problem(grid, tgrid, coeff, bc, weight, theta)
+    return model.make_problem(grid, tgrid, coeff, bc, weight)
 
 
 def declared_pieces(text_or_path: str):

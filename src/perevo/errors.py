@@ -54,10 +54,6 @@ class InsufficientData(PerevoError):
     """Not enough samples to fit the requested model."""
 
 
-class BadExponents(PerevoError):
-    """Operator-norm exponents outside 1 <= p <= q <= inf."""
-
-
 class TrivialLimitComparison(PerevoError):
     """Comparison against a trivial (zero) limit operator was requested.
 

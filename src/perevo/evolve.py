@@ -1,15 +1,14 @@
 """Time stepping for the penalized problem and the discrete evolution maps.
 
-One step of the theta scheme advances level j to j+1 through
+One fully implicit (backward Euler) step advances level j to j+1 through
 
-    L_j u^{j+1} = R_j u^j + dt * f^{j+theta},
-    L_j = I + theta dt (A_{j+1} + lam M_{j+1}),
-    R_j = I - (1 - theta) dt (A_j + lam M_j),
+    L_j u^{j+1} = u^j + dt * f^{j+1},
+    L_j = I + dt (A_{j+1} + lam M_{j+1}),
 
 where M_j is the diagonal of weight samples at level j.  The penalty sits
-inside L_j, so arbitrarily large lam never destabilizes the step.  For
-theta = 1 with the nonpositive off-diagonal sign pattern each L_j is an
-M-matrix and the step map is entrywise nonnegative; prepare() certifies this.
+inside L_j, so arbitrarily large lam never destabilizes the step.  With the
+nonpositive off-diagonal sign pattern each L_j is an M-matrix and the step
+map is entrywise nonnegative at every penalty; prepare() certifies this.
 
 prepare() factors each distinct L_j once (LAPACK dgttrf); every later solve,
 and so every evolution, period map and kernel, reuses those factors through
@@ -48,7 +47,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from .model import ProblemSpec, coercivity_shift
-from .operator import band_matvec, mesh_peclet_ok, stencil_bands
+from .operator import mesh_peclet_ok, stencil_bands
 
 __all__ = [
     "StepFactorization",
@@ -93,24 +92,19 @@ class ForcingField:
 class StepFactorization:
     """Factored step matrices for one penalty value over a full period.
 
-    bands = (lower, diag, upper) and weight hold the stencil and the weight
-    samples m(x_i, t_j) as (M+1, n) arrays, row j at level j.  steps[j] is the
-    dgttrf factorization (dl, d, du, du2, ipiv) of L_j (levels j -> j+1);
-    steps whose levels j+1 lie in one run of level_runs share one
+    steps[j] is the dgttrf factorization (dl, d, du, du2, ipiv) of L_j (levels
+    j -> j+1); steps whose levels j+1 lie in one run of level_runs share one
     factorization, the very same tuple.
     positivity certifies that every step map is entrywise nonnegative: the
-    off-diagonals are nonpositive at every level, every L_j has positive row
-    sums (an M-matrix), and for theta < 1 the explicit diagonal is >= 0.
+    off-diagonals are nonpositive at every level and every L_j has positive
+    row sums (an M-matrix).
     active is None, or the (M+1, n) hard-wall mask prepare() was given: solve
-    j then zeroes the right-hand side outside active[j+1], and the couplings
-    of bands row j < M keep only pairs of nodes that are both active at level
-    j+1.  _kernel_slot holds kernel.kernel_matrix's last evolved identity.
+    j then zeroes the right-hand side outside active[j+1].  _kernel_slot holds
+    kernel.kernel_matrix's last evolved identity.
     """
 
     spec: ProblemSpec
     lam: float
-    bands: tuple
-    weight: np.ndarray
     steps: tuple = field(repr=False)  # M entries: a repr would print every factor
     positivity: bool
     peclet_ok: bool
@@ -130,18 +124,9 @@ class StepFactorization:
     def tgrid(self):
         return self.spec.tgrid
 
-    def explicit(self, j: int, v: np.ndarray) -> np.ndarray:
-        """Right-hand side R_j v of step j (v itself when theta = 1)."""
-        if self.spec.theta >= 1.0:
-            return v
-        fac = (1.0 - self.spec.theta) * self.tgrid.dt
-        shape = (-1,) + (1,) * (v.ndim - 1)
-        Av = band_matvec(*(band[j] for band in self.bands), v)
-        return v - fac * (Av + self.lam * self.weight[j].reshape(shape) * v)
-
     def solve(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Solve L_j x = rhs (a vector, or a matrix of columns); with a mask,
-        rhs is zeroed outside active[j+1] first."""
+        """Step j: solve L_j x = rhs (a vector, or a matrix of columns); with a
+        mask, rhs is zeroed outside active[j+1] first."""
         if self.active is not None:
             keep = self.active[j + 1].reshape((-1,) + (1,) * (rhs.ndim - 1))
             rhs = np.where(keep, rhs, 0.0)
@@ -149,22 +134,20 @@ class StepFactorization:
             rhs = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
         return dgttrs(*self.steps[j], rhs)[0][:self.n]
 
-    def step_once(self, j: int, v: np.ndarray) -> np.ndarray:
-        """Apply the single step map from level j to level j+1."""
-        return self.solve(j, self.explicit(j, v))
-
 
 def level_runs(spec: ProblemSpec, active: np.ndarray | None = None) -> np.ndarray:
     """Run id of each level 0..M, counting up from 0 along the levels.
 
-    Consecutive levels share a run when their columns of D, a, b, c0 and the
-    weight, and their rows of active when given, are bitwise identical.  The
-    columns are compared as int64 bits, so 0.0 and -0.0 differ.  All levels
-    of one run have the same stencil, and all steps into one run the same
-    step matrix.
+    Consecutive levels share a run when the samples the stencil and the step
+    matrices read at them are bitwise identical: all nodes of D and a, the
+    interior nodes of b, c0 and the weight, and their rows of active when
+    given.  The samples are compared as int64 bits, so 0.0 and -0.0 differ.
+    All levels of one run have the same stencil, and all steps into one run
+    the same step matrix.
     """
     new = np.zeros(spec.tgrid.M, dtype=bool)  # new[j]: level j+1 starts a run
-    for values in (spec.coeff.D, spec.coeff.a, spec.coeff.b, spec.coeff.c0, spec.weight.values):
+    c = spec.coeff
+    for values in (c.D, c.a, c.b[1:-1], c.c0[1:-1], spec.weight.values[1:-1]):
         if new.all():
             break
         bits = values.view(np.int64)
@@ -185,34 +168,31 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     """Assemble, factor and certify all step matrices for one penalty value.
 
     active, an (M+1, n) bool array whose row j marks the nodes allowed at
-    level j, turns the steps into hard-wall steps (see StepFactorization).
-    The positivity certificate is that of the unmasked steps, which implies
-    it for the masked ones: cutting a nonpositive coupling or replacing a row
-    by an identity row keeps the sign pattern and the positive row sums.
+    level j, turns the steps into hard-wall steps (see StepFactorization):
+    L_j keeps a coupling only between two nodes active at level j+1 and has
+    an identity row at every inactive one.  The positivity certificate is
+    that of the unmasked steps, which implies it for the masked ones: cutting
+    a nonpositive coupling or replacing a row by an identity row keeps the
+    sign pattern and the positive row sums.
 
     The stencil, the step matrices, their checks and the certificate are
     evaluated once per run of identical levels (level_runs), and dgttrf runs
-    once per run that some step enters; the per-level bands are then
-    gathered from the runs' rows.  When every level is its own run nothing
-    is gathered.
+    once per run that some step enters.
     """
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
-    M, dt, theta = spec.tgrid.M, spec.tgrid.dt, spec.theta
+    M, dt = spec.tgrid.M, spec.tgrid.dt
     run = level_runs(spec, active)
     starts = np.flatnonzero(np.diff(run, prepend=-1))  # first level of each run
-    repeated = len(starts) <= M
-    rows = starts if repeated else slice(None)
+    rows = starts if len(starts) <= M else slice(None)
     lower, diag, upper = stencil_bands(spec, rows)  # row r belongs to run r
-    weight = np.ascontiguousarray(spec.weight.values[1:-1, :].T)
-    w = weight[rows]
-    # L_j = I + theta dt (A + lam M) at level j+1, in dgttrf's band layout;
+    w = np.ascontiguousarray(spec.weight.values[1:-1, rows].T)
+    # L_j = I + dt (A + lam M) at level j+1, in dgttrf's band layout;
     # steps 0..M-1 enter the runs run[1]..run[M]
     used = slice(run[1], None)
-    s = theta * dt
-    dl = lower[used, 1:] * s
-    d = diag[used] * s + (1.0 + s * lam * w[used])
-    du = upper[used, :-1] * s
+    dl = lower[used, 1:] * dt
+    d = diag[used] * dt + (1.0 + dt * lam * w[used])
+    du = upper[used, :-1] * dt
     if active is not None:
         act = active[rows][used]
         cut = ~(act[:, :-1] & act[:, 1:])  # nodes i, i+1 not both active
@@ -237,25 +217,12 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
 
     peclet = mesh_peclet_ok(spec)
     m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
-    dominant = np.all(1.0 + s * (lower[used] + diag[used] + upper[used] + lam * w[used]) > 0.0)
-    explicit_ok = True
-    if theta < 1.0:
-        expl = slice(None, run[-2] + 1)  # the explicit part of step j reads level j
-        explicit_ok = np.all(1.0 - (1.0 - theta) * dt * (diag[expl] + lam * w[expl]) >= 0.0)
-        if not explicit_ok:
-            warnings.warn("theta < 1 mesh-ratio check failed: explicit part has negative "
-                          "entries, positivity is not certified", stacklevel=2)
+    dominant = np.all(1.0 + dt * (lower[used] + diag[used] + upper[used] + lam * w[used]) > 0.0)
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    if repeated:
-        lower, diag, upper = lower[run], diag[run], upper[run]
-    if active is not None:
-        # the explicit part of step j reads bands row j
-        cut = ~(active[1:, :-1] & active[1:, 1:])
-        lower[:-1, 1:][cut] = upper[:-1, :-1][cut] = 0.0
-    return StepFactorization(spec, float(lam), (lower, diag, upper), weight, steps,
-                             bool(m_pattern and dominant and explicit_ok), peclet, active)
+    return StepFactorization(spec, float(lam), steps, bool(m_pattern and dominant), peclet,
+                             active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
@@ -309,7 +276,7 @@ if hasattr(os, "register_at_fork"):
 
 def _steps(F: StepFactorization, w: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
     for j in range(from_level, to_level):
-        w = F.step_once(j, w)
+        w = F.solve(j, w)
     return w
 
 
@@ -360,18 +327,14 @@ class Trajectory:
 def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | None = None):
     """Yield the states of one vector w at levels 0..M, w itself first.
 
-    With a forcing, step j adds dt f^{j+theta} = dt ((1-theta) f_j + theta
-    f_{j+1}) to its right-hand side, which keeps the scheme's order; without
+    With a forcing, step j adds dt f^{j+1} to its right-hand side; without
     one the steps are the homogeneous step maps.
     """
-    dt, theta = F.tgrid.dt, F.spec.theta
+    f = None if forcing is None else forcing.values[1:-1]
+    dt = F.tgrid.dt
     yield w
     for j in range(F.M):
-        if forcing is None:
-            w = F.step_once(j, w)
-        else:
-            f = forcing.values[1:-1]
-            w = F.solve(j, F.explicit(j, w) + dt * ((1.0 - theta) * f[:, j] + theta * f[:, j + 1]))
+        w = F.solve(j, w if f is None else w + dt * f[:, j + 1])
         yield w
 
 
@@ -451,8 +414,8 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     vnorms = np.array([discrete_v_norm_sq(spec, u) for u in traj.states])
     lhs += 0.25 * alpha * float(np.sum(wq * amp * vnorms))
     if F.lam > 0:
-        pen = np.array([h * float(np.sum(F.weight[j] * u ** 2))
-                        for j, u in enumerate(traj.states)])
+        m = spec.weight.values[1:-1]
+        pen = np.array([h * float(np.sum(m[:, j] * u ** 2)) for j, u in enumerate(traj.states)])
         lhs += F.lam * float(np.sum(wq * amp * pen))
 
     u0 = traj.states[0]

@@ -26,21 +26,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import BadExponents, DimensionMismatch, InsufficientData, LevelMismatch, LevelOrder
+from .errors import InsufficientData, LevelMismatch, LevelOrder
 from .evolve import StepFactorization, evolve_state
 
 __all__ = [
     "KernelMatrix",
     "GaussianFit",
     "kernel_matrix",
-    "apply_kernel",
     "check_monotone_in_lambda",
     "fit_gaussian",
     "envelope_violation",
-    "smoothing_norm",
-    "smoothing_exponent",
 ]
 
 ENTRY_FLOOR = 1e-14      # entries below this never enter the log fit
@@ -90,14 +86,6 @@ def kernel_matrix(F: StepFactorization, s_level: int, t_level: int) -> KernelMat
         F._kernel_slot[0] = (s_level, t_level, state)
     cols = state / F.spec.grid.h
     return KernelMatrix(cols, s_level, t_level, F.lam, F.spec.grid.h, F.tgrid.dt)
-
-
-def apply_kernel(K: KernelMatrix, u: np.ndarray) -> np.ndarray:
-    """Quadrature action sum_j K[i,j] u_j h; matches the direct evolution."""
-    u = np.asarray(u, dtype=float)
-    if u.shape[0] != K.entries.shape[1]:
-        raise DimensionMismatch("state length does not match the kernel")
-    return K.h * (K.entries @ u)
 
 
 def check_monotone_in_lambda(K1: KernelMatrix, K2: KernelMatrix) -> float:
@@ -187,54 +175,3 @@ def envelope_violation(fit: GaussianFit, K: KernelMatrix) -> float:
     env = (ENVELOPE_SAFETY * fit.Mconst * math.exp(fit.omega * tau) / math.sqrt(tau)
            * np.exp(-fit.cconst * dx2 / tau))
     return float((K.entries - env).max())
-
-
-def _colnorm(entries: np.ndarray, h: float, q: float) -> float:
-    if math.isinf(q):
-        return float(np.abs(entries).max())
-    return float(np.max((h * np.sum(np.abs(entries) ** q, axis=0)) ** (1.0 / q)))
-
-
-def _rownorm(entries: np.ndarray, h: float, p_dual: float) -> float:
-    if math.isinf(p_dual):
-        return float(np.abs(entries).max())
-    return float(np.max((h * np.sum(np.abs(entries) ** p_dual, axis=1)) ** (1.0 / p_dual)))
-
-
-def smoothing_norm(K: KernelMatrix, p: float, q: float) -> float:
-    """Operator norm of the evolution map from lp(h) into lq(h).
-
-    Exact whenever p = 1 (columns), q = inf (rows), or p = q = 2 (spectral
-    norm); other pairs return the three-point interpolation upper bound
-    through the (1,1), (1,inf), (inf,inf) corner norms.
-    """
-    p, q = float(p), float(q)
-    if not (1.0 <= p <= q):
-        raise BadExponents(f"need 1 <= p <= q, got p={p}, q={q}")
-    E = K.entries
-    h = K.h
-    if p == 1.0:
-        return _colnorm(E, h, q)
-    if math.isinf(q):
-        p_dual = 1.0 if math.isinf(p) else p / (p - 1.0)
-        return _rownorm(E, h, p_dual)
-    if p == 2.0 and q == 2.0:
-        return float(scipy.linalg.svdvals(h * E)[0])
-    n11 = _colnorm(E, h, 1.0)
-    ninf = float(np.max(h * np.sum(np.abs(E), axis=1)))
-    n1inf = float(np.abs(E).max())
-    a = 1.0 / q
-    b = 1.0 / p - 1.0 / q
-    c = 1.0 - 1.0 / p
-    return float(n11 ** a * n1inf ** b * ninf ** c)
-
-
-def smoothing_exponent(kernels, p: float, q: float) -> float:
-    """Log-log slope of the lp->lq norm against the time gap."""
-    kernels = list(kernels)
-    if len(kernels) < 3:
-        raise InsufficientData("need >= 3 kernels for a slope fit")
-    taus = np.array([K.tau for K in kernels])
-    norms = np.array([smoothing_norm(K, p, q) for K in kernels])
-    slope, _ = np.polyfit(np.log(taus), np.log(norms), 1)
-    return float(slope)

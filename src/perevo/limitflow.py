@@ -160,10 +160,6 @@ def limit_monodromy(spec: ProblemSpec, pieces=None) -> LimitMonodromy:
     active = np.ascontiguousarray(build_mask(spec.weight, spec.grid, spec.tgrid).free[1:-1].T)
     if pieces is not None:
         _check_pieces(spec, active, pieces)
-    if spec.theta != 1.0:
-        warnings.warn("hard-wall oracle with theta < 1: the restricted steps use the "
-                      "same theta but entrywise dominance is only certified for theta = 1",
-                      stacklevel=2)
     F = prepare(spec, 0.0, active)
     Pinf = monodromy(F).P
     if not Pinf.any():

@@ -266,22 +266,16 @@ def make_weight(grid, tgrid, m=0.0, delta=None) -> WeightField:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Full immutable description of one discretized problem.
-
-    theta in [1/2, 1] selects the time stepper (1 = fully implicit, the
-    default; 1/2 = trapezoidal).  Safe to share across workers.
-    """
+    """Full immutable description of one discretized problem, stepped fully
+    implicitly in time (see evolve).  Safe to share across workers."""
 
     grid: Grid1D
     tgrid: TimeGrid
     coeff: CoefficientField
     bc: BoundarySpec
     weight: WeightField
-    theta: float = 1.0
 
     def __post_init__(self):
-        if not (0.5 <= self.theta <= 1.0):
-            raise InvariantError(f"theta must lie in [1/2, 1], got {self.theta}")
         shape = (self.grid.n + 2, self.tgrid.M + 1)
         for name in ("D", "a", "b", "c0"):
             if getattr(self.coeff, name).shape != shape:
@@ -290,11 +284,14 @@ class ProblemSpec:
             raise InvariantError("weight lattice has wrong shape")
 
     def digest(self) -> str:
-        """Stable hash of every lattice and scalar that defines the problem."""
+        """Stable hash of every lattice and scalar that defines the problem.
+
+        The field after M is the literal 1.0, the time stepper's theta when
+        theta was a parameter; it stays so that digests keep their values."""
         hsh = hashlib.sha256()
         head = (
             f"{self.grid.x_lo!r},{self.grid.x_hi!r},{self.grid.n},"
-            f"{self.tgrid.T!r},{self.tgrid.M},{self.theta!r},"
+            f"{self.tgrid.T!r},{self.tgrid.M},1.0,"
             f"{self.bc.kind},{self.bc.b0_left!r},{self.bc.b0_right!r},"
             f"{self.bc.kind_left},{self.bc.kind_right},{self.weight.delta!r},"
             f"{self.coeff.alpha!r}"
@@ -305,8 +302,8 @@ class ProblemSpec:
         return hsh.hexdigest()
 
 
-def make_problem(grid, tgrid, coeff, bc, weight, theta=1.0) -> ProblemSpec:
-    return ProblemSpec(grid, tgrid, coeff, bc, weight, float(theta))
+def make_problem(grid, tgrid, coeff, bc, weight) -> ProblemSpec:
+    return ProblemSpec(grid, tgrid, coeff, bc, weight)
 
 
 def sample_sup_norms(coeff: CoefficientField):
@@ -427,7 +424,7 @@ def staircase_weight(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
 
 
 #: keywords every builtin takes, with the defaults the rows below override
-_LATTICE = dict(x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512, D=1.0, bc="dirichlet", theta=1.0)
+_LATTICE = dict(x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512, D=1.0, bc="dirichlet")
 
 #: one row per builtin: (defaults over _LATTICE, weight builder or None,
 #: builtin keyword -> builder keyword).  The remaining keywords go to the
@@ -448,9 +445,9 @@ SCENARIO_NAMES = tuple(_SCENARIOS)
 def builtin_scenario(name: str, **params) -> ProblemSpec:
     """Build the builtin ``name`` (one of SCENARIO_NAMES) from its _SCENARIOS row.
 
-    Every builtin takes the _LATTICE keywords (domain, period, n, M, D, bc,
-    theta); the rest override the geometry its weight builder takes.  A
-    builtin without a weight builder has m = 0.
+    Every builtin takes the _LATTICE keywords (domain, period, n, M, D, bc);
+    the rest override the geometry its weight builder takes.  A builtin
+    without a weight builder has m = 0.
     """
     try:
         defaults, weight, rename = _SCENARIOS[name]
@@ -466,5 +463,4 @@ def builtin_scenario(name: str, **params) -> ProblemSpec:
         raise TypeError(f"{name} got unexpected keyword arguments {sorted(geometry)}")
     m = 0.0 if weight is None else weight(grid, tgrid, **geometry)
     coeff = make_coefficients(grid, tgrid, lat["D"])
-    return make_problem(grid, tgrid, coeff, BoundarySpec(lat["bc"]), make_weight(grid, tgrid, m),
-                        lat["theta"])
+    return make_problem(grid, tgrid, coeff, BoundarySpec(lat["bc"]), make_weight(grid, tgrid, m))

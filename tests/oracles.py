@@ -66,15 +66,14 @@ def dense_step_matrix(spec, lam, j):
     return L
 
 
-def dense_theta_trajectory(F, u0, forcing_values):
-    """Solve the whole space-time system in one dense linear solve (theta = 1).
+def dense_spacetime_trajectory(F, u0, forcing_values):
+    """Solve the whole space-time system in one dense linear solve.
 
     Unknowns are the stacked states u^1..u^M; equation j couples levels j and
     j+1 through the implicit step.  Cross-checks sequential stepping.
     """
     spec = F.spec
     n, M, dt = spec.grid.n, spec.tgrid.M, spec.tgrid.dt
-    assert spec.theta == 1.0
     big = np.zeros((n * M, n * M))
     rhs = np.zeros(n * M)
     for j in range(M):
@@ -117,9 +116,8 @@ def ndimage_component_count(cells):
 
 
 def dense_period_map(F):
-    """Period map assembled from explicit dense solves (theta = 1 only)."""
+    """Period map assembled from explicit dense solves."""
     spec = F.spec
-    assert spec.theta == 1.0
     P = np.eye(spec.grid.n)
     for j in range(spec.tgrid.M):
         P = np.linalg.solve(dense_step_matrix(spec, F.lam, j + 1), P)
@@ -127,14 +125,13 @@ def dense_period_map(F):
 
 
 def dense_hard_wall_period_map(spec, active):
-    """Hard-wall period map from dense restricted solves (theta = 1 only).
+    """Hard-wall period map from dense restricted solves.
 
     active(x, t) marks the nodes the solution may occupy; step j evaluates it
     at the interior nodes and the reduced time of level j+1, solves the zero-
     penalty step matrix restricted to those rows and columns, and puts zeros
     everywhere else.
     """
-    assert spec.theta == 1.0
     n, M, dt = spec.grid.n, spec.tgrid.M, spec.tgrid.dt
     xs = spec.grid.interior()
     P = np.eye(n)

@@ -51,6 +51,16 @@ def test_eigen_writes_results(tmp_path, capsys):
     assert manifest["command"] == "eigen" and len(manifest["digest"]) == 64
 
 
+def test_eigen_without_convergence_writes_a_manifest(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["eigen", "heat_baseline", "--max-iter", "1", "--out", str(out)]) == 4
+    assert "no convergence" in capsys.readouterr().err
+    assert json.loads((out / "spectral_result.json").read_text())["converged"] is False
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["command"] == "eigen" and manifest["outputs"] == ["spectral_result.json"]
+    assert manifest["digest"] == perevo.builtin_scenario("heat_baseline").digest()
+
+
 def test_eigen_trivial_limit_exit_3(tmp_path):
     # a gigantic constant penalty pushes the period map below the floor
     cfg = _cfg(tmp_path, weight="1.0")

@@ -31,7 +31,6 @@ weight = 0.0
 def test_minimal_document():
     spec = build_problem(BASE)
     assert spec.grid.n == 16 and spec.tgrid.M == 32
-    assert spec.theta == 1.0
     assert not spec.weight.values.any()
 
 

@@ -16,7 +16,7 @@ from perevo.errors import InvariantError, LevelOrder
 from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
                            prepare, trajectory_rows)
 from perevo.kernel import kernel_matrix
-from perevo.operator import band_matvec, stencil_bands
+from perevo.operator import stencil_bands
 from perevo.spectral import monodromy
 from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -63,11 +63,20 @@ weight = indicator_box(0.25, 0.75, 0.25, 0.75)
 """
 
 
+# b, c0 and the weight change mid-period only at endpoint nodes, which
+# neither the stencil nor the step matrices read
+ENDPOINT_ONLY = SIN_T.replace("D = sin_t(1.0, 0.5)", """D = 1.0
+b = indicator_box(-1.0, 0.01, 0.25, 0.75)
+c0 = indicator_box(0.99, 2.0, 0.5, 1.0)""").replace(
+    "weight = indicator_box(0.25, 0.75, 0.25, 0.75)", "weight = indicator_box(0.99, 2.0, 0.0, 0.5)")
+
+
 def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, du_peng_small,
                                                            monkeypatch):
     # one dgttrf per run of identical levels that a step enters: heat is one
     # run, du_peng three (before, inside and after its switch, level M being
-    # level 0 again), and sin_t changes D at every level
+    # level 0 again), sin_t changes D at every level, and the endpoint-only
+    # changes split no run
     counts = {"dgttrf": 0, "dgttrs": 0}
 
     def counting(name):
@@ -80,8 +89,9 @@ def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, du_peng_s
 
     for name in counts:
         monkeypatch.setattr(evolve, name, counting(name))
-    sin_t = perevo.build_problem(SIN_T)
-    for spec, factored in ((heat_small, 1), (du_peng_small, 3), (sin_t, sin_t.tgrid.M)):
+    sin_t, ends = perevo.build_problem(SIN_T), perevo.build_problem(ENDPOINT_ONLY)
+    assert ends.coeff.b[0].any() and ends.coeff.c0[-1].any() and ends.weight.values[-1].any()
+    for spec, factored in ((heat_small, 1), (du_peng_small, 3), (sin_t, sin_t.tgrid.M), (ends, 1)):
         counts.update(dgttrf=0, dgttrs=0)
         F = prepare(spec, 1.0)
         assert counts == {"dgttrf": factored, "dgttrs": 0}
@@ -97,23 +107,17 @@ def _reference_evolve(spec, lam, state, from_level, to_level, active=None):
     built from stencil_bands(spec) with no sharing between levels."""
     lower, diag, upper = stencil_bands(spec)
     weight = spec.weight.values[1:-1].T
-    theta, dt = spec.theta, spec.tgrid.dt
-    s, fac = theta * dt, (1.0 - theta) * dt
+    dt = spec.tgrid.dt
     for j in range(from_level, to_level):
-        dl = lower[j + 1, 1:] * s
-        d = diag[j + 1] * s + (1.0 + s * lam * weight[j + 1])
-        du = upper[j + 1, :-1] * s
-        lo, up = lower[j].copy(), upper[j].copy()
+        dl = lower[j + 1, 1:] * dt
+        d = diag[j + 1] * dt + (1.0 + dt * lam * weight[j + 1])
+        du = upper[j + 1, :-1] * dt
         if active is not None:
             cut = ~(active[j + 1, :-1] & active[j + 1, 1:])
             dl[cut] = du[cut] = 0.0
             d[~active[j + 1]] = 1.0
-            lo[1:][cut] = up[:-1][cut] = 0.0
         *lu, info = dgttrf(dl, d, du)
         assert info == 0
-        if theta < 1.0:
-            state = state - fac * (band_matvec(lo, diag[j], up, state)
-                                   + lam * weight[j][:, None] * state)
         if active is not None:
             state = np.where(active[j + 1][:, None], state, 0.0)
         state = dgttrs(*lu, state)[0]
@@ -138,27 +142,23 @@ def _wall_mask(spec):
     ("du_peng", {}, None),
     ("counterexample", {"n": 20, "M": 60}, None),
     ("du_peng", {}, _free_mask),
-    ("du_peng", {"theta": 0.5}, None),
-    ("du_peng", {"theta": 0.5}, _free_mask),
     ("heat_baseline", {}, _wall_mask),
     (SIN_T, {}, None),
-], ids=["heat", "du_peng", "counterexample", "oracle", "theta_half", "oracle_theta_half",
-        "heat_walled", "sin_t"])
+    (ENDPOINT_ONLY, {}, None),
+], ids=["heat", "du_peng", "counterexample", "oracle", "heat_walled", "sin_t", "endpoint_only"])
 def test_shared_factors_match_per_level_factors_bit_for_bit(target, lattice, mask):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # theta = 1/2 fails the mesh-ratio certificate
-        if target == SIN_T:
-            spec = perevo.build_problem(SIN_T)
-        else:
-            spec = perevo.builtin_scenario(target, **{"n": 32, "M": 64, **lattice})
-        active = None if mask is None else mask(spec)
-        n, M = spec.grid.n, spec.tgrid.M
-        for lam in (0.0, 10.0):
-            F = prepare(spec, lam, active)
-            want = _reference_evolve(spec, lam, np.eye(n), 0, M, active)
-            assert monodromy(F).P.tobytes() == want.tobytes()
-            want = _reference_evolve(spec, lam, np.eye(n), 3, M // 2 + 1, active) / spec.grid.h
-            assert kernel_matrix(F, 3, M // 2 + 1).entries.tobytes() == want.tobytes()
+    if target in (SIN_T, ENDPOINT_ONLY):
+        spec = perevo.build_problem(target)
+    else:
+        spec = perevo.builtin_scenario(target, **{"n": 32, "M": 64, **lattice})
+    active = None if mask is None else mask(spec)
+    n, M = spec.grid.n, spec.tgrid.M
+    for lam in (0.0, 10.0):
+        F = prepare(spec, lam, active)
+        want = _reference_evolve(spec, lam, np.eye(n), 0, M, active)
+        assert monodromy(F).P.tobytes() == want.tobytes()
+        want = _reference_evolve(spec, lam, np.eye(n), 3, M // 2 + 1, active) / spec.grid.h
+        assert kernel_matrix(F, 3, M // 2 + 1).entries.tobytes() == want.tobytes()
 
 
 def test_levels_differing_in_the_sign_of_a_zero_do_not_share_factors():
@@ -229,7 +229,7 @@ def test_monotone_decay_in_penalty(du_peng_small):
     Fs = [prepare(du_peng_small, lam) for lam in lams]
     states = [v.copy() for _ in lams]
     for j in range(du_peng_small.tgrid.M):
-        states = [F.step_once(j, s) for F, s in zip(Fs, states)]
+        states = [F.solve(j, s) for F, s in zip(Fs, states)]
         for s1, s2 in zip(states, states[1:]):
             assert float((s2 - s1).max()) <= 1e-12
 
@@ -239,31 +239,9 @@ def test_mild_solution_against_dense_spacetime(heat_unit):
     n = heat_unit.grid.n
     f = ForcingField.constant(1.0, heat_unit.grid, heat_unit.tgrid)
     traj = mild_solution(F, np.zeros(n), f)
-    ref = oracles.dense_theta_trajectory(F, np.zeros(n), f.values)
+    ref = oracles.dense_spacetime_trajectory(F, np.zeros(n), f.values)
     worst = max(np.abs(ref[j] - traj.states[j]).max() for j in range(len(ref)))
     assert worst <= 1e-12
-
-
-def test_forced_theta_half_against_dense_steps():
-    # theta = 1/2 with a time-dependent weight and forcing: step j solves
-    # (I + dt/2 B_{j+1}) u^{j+1} = (I - dt/2 B_j) u^j + dt (f_j + f_{j+1})/2,
-    # with B_j = A_j + lam m_j from the entry-by-entry dense matrices
-    g, tg = perevo.Grid1D(0.0, 1.0, 9), perevo.TimeGrid(1.0, 16)
-    coeff = perevo.make_coefficients(g, tg, 1.0, a=0.5)
-    w = perevo.make_weight(g, tg, lambda x, t: x * (1.0 + np.sin(2 * math.pi * t)))
-    spec = perevo.make_problem(g, tg, coeff, perevo.BoundarySpec("dirichlet"), w, theta=0.5)
-    lam, dt, eye = 3.0, tg.dt, np.eye(g.n)
-    f = ForcingField.from_function(lambda x, t: np.cos(3 * x) * (1.0 + t * t), g, tg)
-    u0 = np.sin(math.pi * g.interior())
-    with pytest.warns(UserWarning, match="mesh-ratio"):  # dt above the positivity bound
-        F = prepare(spec, lam)
-    traj = mild_solution(F, u0, f)
-    B = [(oracles.dense_step_matrix(spec, lam, j) - eye) / dt for j in range(tg.M + 1)]
-    u = u0
-    for j in range(tg.M):
-        rhs = (eye - 0.5 * dt * B[j]) @ u + dt * 0.5 * (f.values[1:-1, j] + f.values[1:-1, j + 1])
-        u = np.linalg.solve(eye + 0.5 * dt * B[j + 1], rhs)
-        assert np.allclose(traj.states[j + 1], u, rtol=1e-12, atol=1e-12)
 
 
 def test_mild_solution_unforced_matches_evolve(heat_unit):
@@ -338,23 +316,6 @@ def test_energy_penalty_term_enters(du_peng_small):
     assert rep_pen.ratio <= 1.0 and rep0.ratio <= 1.0
 
 
-def test_crank_nicolson_second_order():
-    # theta = 1/2 converges at second order in dt against the spatially
-    # discrete exact mode decay
-    errs = []
-    for M in (32, 64, 128):
-        spec = perevo.builtin_scenario("heat_baseline", n=16, M=M, theta=0.5)
-        F = prepare(spec, 0.0)
-        mode = oracles.sine_mode(spec.grid, 1)
-        lam1 = oracles.mode_eigenvalue(spec.grid, 1)
-        out = evolve_state(F, mode, 0, M)
-        exact = math.exp(-lam1 * spec.tgrid.T) * mode
-        errs.append(np.abs(out - exact).max())
-    rate1 = math.log2(errs[0] / errs[1])
-    rate2 = math.log2(errs[1] / errs[2])
-    assert 1.8 <= rate1 <= 2.2 and 1.8 <= rate2 <= 2.2
-
-
 def test_trajectory_rows_long_format(heat_small):
     F = prepare(heat_small, 0.0)
     traj = mild_solution(F, np.ones(heat_small.grid.n), None)
@@ -365,20 +326,17 @@ def test_trajectory_rows_long_format(heat_small):
     assert t0 == 0.0 and x0 == pytest.approx(heat_small.grid.h) and u0 == 1.0
 
 
-def _split_spec(n, theta):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # theta = 1/2 fails the mesh-ratio certificate here
-        return prepare(perevo.builtin_scenario("du_peng", n=n, M=96, theta=theta), 10.0)
+def _split_spec(n):
+    return prepare(perevo.builtin_scenario("du_peng", n=n, M=96), 10.0)
 
 
 @pytest.mark.parametrize("levels", [(0, 96), (7, 40)], ids=["full", "partial"])
-@pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("n", [64, 127, 144])
-def test_column_blocks_match_single_columns(n, theta, levels, monkeypatch):
+def test_column_blocks_match_single_columns(n, levels, monkeypatch):
     # with three workers 64 columns stay one block, 127 make two uneven
     # blocks and 144 three
     monkeypatch.setattr(evolve, "column_workers", lambda: 3)
-    F = _split_spec(n, theta)
+    F = _split_spec(n)
     V = np.random.default_rng(n).random((n, n))
     W = evolve_state(F, V, *levels)
     single = np.column_stack([evolve_state(F, V[:, c], *levels) for c in range(n)])
@@ -387,7 +345,7 @@ def test_column_blocks_match_single_columns(n, theta, levels, monkeypatch):
 
 
 def test_one_worker_gives_the_same_bytes(monkeypatch):
-    F = _split_spec(127, 1.0)
+    F = _split_spec(127)
     V = np.random.default_rng(3).random((127, 127))
     default = evolve_state(F, V, 0, 96)
     monkeypatch.setattr(evolve, "column_workers", lambda: 1)
@@ -399,7 +357,7 @@ def test_one_worker_gives_the_same_bytes(monkeypatch):
 def test_concurrent_callers_share_the_pool(monkeypatch):
     # more column workers and callers than cores, with frequent thread switches
     monkeypatch.setattr(evolve, "column_workers", lambda: 4)
-    F = _split_spec(127, 1.0)
+    F = _split_spec(127)
     inputs = [np.random.default_rng(s).random((127, 127)) for s in range(6)]
     want = [np.column_stack([evolve_state(F, V[:, c], 0, 24) for c in range(127)])
             for V in inputs]
@@ -424,7 +382,7 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
 
 def test_forked_child_finishes_a_monodromy(monkeypatch):
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
-    F = _split_spec(96, 1.0)
+    F = _split_spec(96)
     want = monodromy(F).P  # the parent's pool now has a worker thread
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process

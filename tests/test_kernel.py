@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +8,10 @@ import pytest
 import oracles
 import perevo
 from perevo import evolve
-from perevo.errors import BadExponents, InsufficientData, LevelMismatch, LevelOrder
+from perevo.errors import InsufficientData, LevelMismatch, LevelOrder
 from perevo.evolve import evolve_state, prepare
-from perevo.kernel import (apply_kernel, check_monotone_in_lambda, envelope_violation,
-                           fit_gaussian, kernel_matrix, smoothing_exponent,
-                           smoothing_norm)
+from perevo.kernel import (check_monotone_in_lambda, envelope_violation, fit_gaussian,
+                           kernel_matrix)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +35,7 @@ def test_impulse_consistency(fine_F, fine_heat):
     rng = np.random.default_rng(0)
     u = rng.standard_normal(fine_heat.grid.n)
     direct = evolve_state(fine_F, u, 0, 40)
-    via_kernel = apply_kernel(K, u)
+    via_kernel = K.h * (K.entries @ u)
     assert np.abs(direct - via_kernel).max() <= 1e-12 * np.abs(direct).max()
 
 
@@ -143,65 +141,15 @@ def test_diagonal_decay_uniformly_bounded(fine_F, fine_heat):
     assert max(vals) <= 0.32  # free-space constant is (4 pi)^(-1/2) ~ 0.282
 
 
-def test_smoothing_norm_contractions(fine_F):
-    K = kernel_matrix(fine_F, 0, 40)
-    for p in (1.0, 2.0, math.inf):
-        assert smoothing_norm(K, p, p) <= 1.0 + 1e-10
-
-
-def test_smoothing_norm_one_to_inf_is_max_entry(fine_F):
-    K = kernel_matrix(fine_F, 0, 40)
-    assert smoothing_norm(K, 1, math.inf) == pytest.approx(K.entries.max())
-
-
-def test_smoothing_norm_interpolation_upper_bound(fine_F):
-    K = kernel_matrix(fine_F, 0, 40)
-    # interpolated bound must dominate the exact (2,2) norm
-    exact = smoothing_norm(K, 2, 2)
-    n11 = smoothing_norm(K, 1, 1)
-    ninf = smoothing_norm(K, math.inf, math.inf)
-    n1inf = smoothing_norm(K, 1, math.inf)
-    bound = n11 ** 0.5 * n1inf ** 0.0 * ninf ** 0.5
-    assert exact <= bound + 1e-12
-    # a strictly intermediate pair returns something between trivial bounds
-    val = smoothing_norm(K, 1.5, 3.0)
-    assert 0 < val <= max(n11, ninf, n1inf) * 2
-
-
-def test_smoothing_norm_bad_exponents(fine_F):
-    K = kernel_matrix(fine_F, 0, 40)
-    with pytest.raises(BadExponents):
-        smoothing_norm(K, 2, 1)
-    with pytest.raises(BadExponents):
-        smoothing_norm(K, 0.5, 2)
-
-
-def test_smoothing_exponent_one_to_inf(fine_F):
-    kernels = [kernel_matrix(fine_F, 0, g) for g in (10, 20, 40, 80)]
-    slope = smoothing_exponent(kernels, 1, math.inf)
-    assert abs(slope + 0.5) <= 0.1
-
-
-def test_penalized_norms_dominated(du_peng_small):
-    M = du_peng_small.tgrid.M
-    K0 = kernel_matrix(prepare(du_peng_small, 0.0), 0, M)
-    K1 = kernel_matrix(prepare(du_peng_small, 1e3), 0, M)
-    for p, q in ((1, 1), (1, 2), (1, math.inf), (2, 2), (2, math.inf),
-                 (math.inf, math.inf)):
-        assert smoothing_norm(K1, p, q) <= smoothing_norm(K0, p, q) + 1e-12
-
-
 # kernel ladders resume from the last evolved identity
 
 def _fresh(spec, lam, s_level, t_level):
     return kernel_matrix(prepare(spec, lam), s_level, t_level)
 
 
-def _ladder_spec(name, n, theta):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # theta = 1/2 fails the mesh-ratio certificate here
-        spec = perevo.builtin_scenario(name, n=n, M=96, theta=theta)
-        return spec, prepare(spec, 10.0)
+def _ladder_spec(name, n):
+    spec = perevo.builtin_scenario(name, n=n, M=96)
+    return spec, prepare(spec, 10.0)
 
 
 def _counting_solves(monkeypatch):
@@ -215,18 +163,15 @@ def _counting_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("theta", [1.0, 0.5])
 @pytest.mark.parametrize("name, n", [("heat_baseline", 127), ("du_peng", 64)])
-def test_ascending_ladder_equals_fresh_kernels(name, n, theta, monkeypatch):
+def test_ascending_ladder_equals_fresh_kernels(name, n, monkeypatch):
     # two column workers cut n = 127 into two blocks; n = 64 stays one block
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
-    spec, F = _ladder_spec(name, n, theta)
+    spec, F = _ladder_spec(name, n)
     for s_level, gaps in ((0, (8, 16, 32, 96)), (5, (3, 11, 12, 40, 91))):
         for gap in gaps:
             K = kernel_matrix(F, s_level, s_level + gap)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                want = _fresh(spec, 10.0, s_level, s_level + gap)
+            want = _fresh(spec, 10.0, s_level, s_level + gap)
             assert K.entries.tobytes(order="A") == want.entries.tobytes(order="A")
             assert K.entries.flags.f_contiguous and want.entries.flags.f_contiguous
             assert (K.s_level, K.t_level) == (s_level, s_level + gap)
@@ -271,7 +216,7 @@ def test_returned_entries_do_not_reach_the_kept_state(heat_small):
 
 def test_concurrent_ladders_on_one_factorization(monkeypatch):
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
-    spec, F = _ladder_spec("heat_baseline", 127, 1.0)
+    spec, F = _ladder_spec("heat_baseline", 127)
     orders = [(4, 8, 16, 32), (32, 8, 24), (16, 4, 40, 8), (8, 8, 48, 12)]
     want = {g: _fresh(spec, 10.0, 0, g).entries for g in {g for o in orders for g in o}}
     got = [[] for _ in orders]

@@ -37,7 +37,7 @@ def _on_slabs(spec, slabs):
     free = oracles.slab_membership(slabs)
     weight = perevo.make_weight(spec.grid, spec.tgrid,
                                 lambda x, t: np.where(free(x, t), 0.0, 1.0))
-    return perevo.make_problem(spec.grid, spec.tgrid, spec.coeff, spec.bc, weight, spec.theta)
+    return perevo.make_problem(spec.grid, spec.tgrid, spec.coeff, spec.bc, weight)
 
 
 def test_whole_domain_piece_equals_zero_penalty_monodromy():
@@ -267,13 +267,13 @@ def test_sweep_input_validation(dp_spec):
 
 def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
     calls = []
-    real = StepFactorization.step_once
+    real = StepFactorization.solve
 
     def counting(self, j, X):
         calls.append((self, j))
         return real(self, j, X)
 
-    monkeypatch.setattr(StepFactorization, "step_once", counting)
+    monkeypatch.setattr(StepFactorization, "solve", counting)
     lim = limit_monodromy(dp_spec, du_peng_pieces(dp_spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -1,10 +1,32 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import perevo
-from perevo.errors import BadScenarioParams, InvariantError
+from perevo.cli import main
+from perevo.errors import BadScenarioParams, InvariantError, SchemaError
+
+HALF_THETA = """
+[grid]
+x_lo = 0.0
+x_hi = 1.0
+n = 8
+
+[time]
+T = 1.0
+M = 8
+
+[coefficients]
+D = 1.0
+
+[boundary]
+bc = dirichlet
+
+[scheme]
+theta = 0.5
+"""
 
 
 def test_grid_nodes_and_spacing():
@@ -36,7 +58,6 @@ def test_canonical_heat_problem_builds():
     spec = perevo.builtin_scenario("heat_baseline", x_lo=0.0, x_hi=1.0, n=64, M=256)
     assert spec.coeff.D.shape == (66, 257)
     assert spec.weight.values.max() == 0.0
-    assert spec.theta == 1.0
 
 
 def test_periodic_sampling_exact():
@@ -123,9 +144,19 @@ def test_boundary_spec_validation():
     assert bc.side("left") == "dirichlet" and bc.side("right") == "flux"
 
 
-def test_theta_range_enforced():
-    with pytest.raises(InvariantError):
-        perevo.builtin_scenario("heat_baseline", n=8, M=8, theta=0.25)
+def test_theta_range_enforced(tmp_path, capsys):
+    # only the fully implicit stepper exists: every way to ask for another fails
+    for name in ("heat_baseline", "du_peng"):
+        with pytest.raises(TypeError, match="theta"):
+            perevo.builtin_scenario(name, n=8, M=8, theta=0.5)
+    assert "theta" not in inspect.signature(perevo.make_problem).parameters
+    doc = tmp_path / "half.cfg"
+    doc.write_text(HALF_THETA)
+    with pytest.raises(SchemaError, match="theta"):
+        perevo.build_problem(str(doc))
+    assert perevo.build_problem(HALF_THETA.replace("theta = 0.5", "theta = 1.0")).grid.n == 8
+    assert main(["eigen", "--config", str(doc), "--out", str(tmp_path / "o")]) == 2
+    assert "theta" in capsys.readouterr().err
 
 
 def test_du_peng_weight_layout():

@@ -6,7 +6,6 @@ import pytest
 import oracles
 import perevo
 from perevo.errors import DimensionMismatch
-from perevo.evolve import prepare
 from perevo.operator import band_matvec, stencil_bands
 
 
@@ -96,7 +95,7 @@ def test_penalty_sampling():
     coeff = perevo.make_coefficients(grid, tgrid, 1.0)
     w = perevo.make_weight(grid, tgrid, lambda x, t: x + 0.0 * t)
     spec = perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"), w)
-    pen = prepare(spec, 0.0).weight[2]
+    pen = spec.weight.values[1:-1, 2]
     assert np.allclose(pen, [0.25, 0.5, 0.75])
     assert np.all(pen >= 0)
 
