@@ -163,7 +163,10 @@ def _counting_solves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("name, n", [("heat_baseline", 127), ("du_peng", 64)])
+# the "1.0" in the case ids is the theta of the fully implicit step, kept
+# from when the cases also ran theta = 1/2 so their names stay stable
+@pytest.mark.parametrize("name, n", [("heat_baseline", 127), ("du_peng", 64)],
+                         ids=["heat_baseline-127-1.0", "du_peng-64-1.0"])
 def test_ascending_ladder_equals_fresh_kernels(name, n, monkeypatch):
     # two column workers cut n = 127 into two blocks; n = 64 stays one block
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
