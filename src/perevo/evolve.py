@@ -10,12 +10,11 @@ inside L_j, so arbitrarily large lam never destabilizes the step.  With the
 nonpositive off-diagonal sign pattern each L_j is an M-matrix and the step
 map is entrywise nonnegative at every penalty; prepare() certifies this.
 
-prepare() factors each distinct L_j once (LAPACK dgttrf); every later solve,
-and so every evolution, period map and kernel, reuses those factors through
-dgttrs.  The weights of interest are piecewise constant in time, so the
-levels fall into runs of bitwise-identical coefficient and weight samples
-(level_runs); every step into one run shares one factorization, and a
-problem whose levels all differ gets one per step.
+prepare() builds each distinct L_j once and factors it (LAPACK dgttrf).  The
+weights of interest are piecewise constant in time, so the levels fall into
+runs of bitwise-identical coefficient and weight samples (level_runs); every
+step into one run shares one matrix and one factorization, and a problem
+whose levels all differ gets one per step.
 
 The same stepper runs the hard-wall problem, the lam -> infinity limit in
 which the solution lives only on the nodes of the vanishing region: given a
@@ -26,11 +25,17 @@ hard Dirichlet walls at the first inactive node on each side.
 
 evolve_state applies the discrete evolution map between two levels.  Because
 a composed evolution is literally the same sequence of solves, splitting it
-at any intermediate level reproduces the direct result bit for bit.  The
-columns of a matrix state evolve independently, so a wide matrix is cut into
-contiguous column blocks that step concurrently on the CPUs the process may
-use (dgttrs releases the GIL); each column sees the same arithmetic as it
-would alone, so the result has the same bits and the same memory order.
+at any intermediate level reproduces the direct result bit for bit.  An
+evolution on one thread, every vector and every matrix too narrow to split,
+steps with dgtsv on the unfactored rows of L_j: it runs the elimination of
+dgttrf and the substitution of dgttrs row by row across all columns at
+once, with the same bits, and is the faster of the two.  The columns of a
+matrix state evolve independently, so a wide matrix is cut into contiguous
+column blocks that step concurrently on the CPUs the process may use; these
+step with the dgttrf factors through dgttrs, which releases the GIL, where
+scipy's dgtsv wrapper holds it and would serialize the blocks.  Each column
+sees the same arithmetic as it would alone, so the result has the same bits
+and the same memory order either way.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from .model import ProblemSpec, coercivity_shift
@@ -92,13 +97,16 @@ class ForcingField:
 class StepFactorization:
     """Factored step matrices for one penalty value over a full period.
 
-    steps[j] is the dgttrf factorization (dl, d, du, du2, ipiv) of L_j (levels
-    j -> j+1); steps whose levels j+1 lie in one run of level_runs share one
-    factorization, the very same tuple.
+    rows[j] holds the unfactored bands (dl, d, du) of L_j (levels j -> j+1),
+    which dgtsv steps with on one thread; steps[j] is their dgttrf
+    factorization (dl, d, du, du2, ipiv), which dgttrs steps the column
+    blocks of a split evolution with.  Steps whose levels j+1 lie in one run
+    of level_runs share one rows tuple and one factorization, the very same
+    tuples.  The rows are read-only: dgtsv works on copies of them.
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level and every L_j has positive
     row sums (an M-matrix).
-    active is None, or the (M+1, n) hard-wall mask prepare() was given: solve
+    active is None, or the (M+1, n) hard-wall mask prepare() was given: step
     j then zeroes the right-hand side outside active[j+1].  _kernel_slot holds
     kernel.kernel_matrix's last evolved identity.
     """
@@ -106,6 +114,7 @@ class StepFactorization:
     spec: ProblemSpec
     lam: float
     steps: tuple = field(repr=False)  # M entries: a repr would print every factor
+    rows: tuple = field(repr=False)
     positivity: bool
     peclet_ok: bool
     active: np.ndarray | None = field(default=None, repr=False)
@@ -125,8 +134,9 @@ class StepFactorization:
         return self.spec.tgrid
 
     def solve(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Step j: solve L_j x = rhs (a vector, or a matrix of columns); with a
-        mask, rhs is zeroed outside active[j+1] first."""
+        """Step j with the factors: solve L_j x = rhs (a vector, or a matrix of
+        columns) by dgttrs; with a mask, rhs is zeroed outside active[j+1]
+        first.  The column blocks of a split evolution step with this."""
         if self.active is not None:
             keep = self.active[j + 1].reshape((-1,) + (1,) * (rhs.ndim - 1))
             rhs = np.where(keep, rhs, 0.0)
@@ -177,7 +187,8 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
 
     The stencil, the step matrices, their checks and the certificate are
     evaluated once per run of identical levels (level_runs), and dgttrf runs
-    once per run that some step enters.
+    once per run that some step enters.  The unfactored rows are copied once,
+    for all runs together, before dgttrf factors them in place.
     """
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
@@ -199,6 +210,9 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
         dl[cut] = du[cut] = 0.0
         d[~act] = 1.0
     finite = np.isfinite(dl).all(1) & np.isfinite(d).all(1) & np.isfinite(du).all(1)
+    bands = dl.copy(), d.copy(), du.copy()  # dgtsv's rows, kept from dgttrf
+    for band in bands:
+        band.flags.writeable = False
     if spec.grid.n == 2:
         # dgttrf needs n >= 3: append an identity row that couples to nothing
         dl, du = np.pad(dl, ((0, 0), (0, 1))), np.pad(du, ((0, 0), (0, 1)))
@@ -213,7 +227,10 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
         if info > 0:
             raise SingularStep(f"factorization failed at step {step}: zero pivot {info}")
         factors.append(tuple(lu))
-    steps = tuple(factors[r] for r in (run[1:] - run[1]).tolist())
+    unfactored = tuple(zip(*bands))  # (dl, d, du) of each run
+    index = (run[1:] - run[1]).tolist()
+    steps = tuple(factors[r] for r in index)
+    rows = tuple(unfactored[r] for r in index)
 
     peclet = mesh_peclet_ok(spec)
     m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
@@ -221,15 +238,26 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    return StepFactorization(spec, float(lam), steps, bool(m_pattern and dominant), peclet,
-                             active)
+    return StepFactorization(spec, float(lam), steps, rows, bool(m_pattern and dominant),
+                             peclet, active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[0] != F.n:
         raise DimensionMismatch(f"state has leading dimension {v.shape[0]}, expected {F.n}")
-    return v.copy()
+    return v
+
+
+def _gtsv(F: StepFactorization, j: int, b: np.ndarray) -> np.ndarray:
+    """Step j on one thread: solve L_j x = b by dgtsv on the rows of L_j, in
+    b's own memory when b is a vector or a Fortran-ordered matrix.  b must be
+    a buffer the caller owns; with a mask, its rows outside active[j+1] are
+    zeroed first.  dgtsv's info is not read: prepare's dgttrf ran the same
+    elimination on the same matrix and found no zero pivot."""
+    if F.active is not None:
+        b[~F.active[j + 1]] = 0.0
+    return dgtsv(*F.rows[j], b, overwrite_b=1)[3]
 
 
 # Narrower blocks hand the GIL over too often for the solve work between
@@ -284,8 +312,10 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
     """Discrete evolution map applied to v (a vector, or a matrix of columns).
 
     A matrix of at least 2 * BLOCK_MIN_COLUMNS columns evolves as contiguous
-    column blocks, one per usable CPU at most, and is stitched back into the
-    Fortran-ordered array the serial loop returns.
+    column blocks, one per usable CPU at most, each stepped by dgttrs, and
+    is stitched back into one Fortran-ordered array.  Anything else evolves
+    on the calling thread in one Fortran-ordered copy of v, stepped in place
+    by dgtsv.
     """
     if from_level > to_level:
         raise LevelOrder(f"need from_level <= to_level, got {from_level} > {to_level}")
@@ -297,7 +327,10 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
         cpus = column_workers()
         k = min(cpus, w.shape[1] // BLOCK_MIN_COLUMNS)
     if k <= 1:
-        return _steps(F, w, from_level, to_level)
+        w = np.array(w, order="F")
+        for j in range(from_level, to_level):
+            w = _gtsv(F, j, w)
+        return w
     # the calling thread steps the first block, the pool the others
     cuts = [w.shape[1] * b // k for b in range(k + 1)]
     blocks = list(zip(cuts[:-1], cuts[1:]))
@@ -328,13 +361,14 @@ def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | Non
     """Yield the states of one vector w at levels 0..M, w itself first.
 
     With a forcing, step j adds dt f^{j+1} to its right-hand side; without
-    one the steps are the homogeneous step maps.
+    one the steps are the homogeneous step maps.  Every state yielded is a
+    new array; w itself is never written.
     """
     f = None if forcing is None else forcing.values[1:-1]
     dt = F.tgrid.dt
     yield w
     for j in range(F.M):
-        w = F.solve(j, w if f is None else w + dt * f[:, j + 1])
+        w = _gtsv(F, j, w.copy() if f is None else w + dt * f[:, j + 1])
         yield w
 
 

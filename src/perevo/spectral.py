@@ -122,7 +122,8 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int 
 
     Stops when the residual |P w - r w| drops below tol * r; raises
     NoConvergence at the iteration cap (a symptom of a vanishing gap).  The
-    returned pair is re-verified outside the loop.
+    returned pair is re-verified outside the loop.  A given start must be a
+    finite vector of length n whose h-weighted norm is neither 0 nor inf.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -131,7 +132,15 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int 
     A, h, T = P.P, P.h, P.period
     n = P.n
     w = np.ones(n) if start is None else np.asarray(start, dtype=float).copy()
-    w /= _l2h(w, h)
+    if w.shape != (n,):
+        raise ValueError(f"start must have shape ({n},), got {w.shape}")
+    if not np.isfinite(w).all():
+        raise ValueError("start must be finite")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        norm = _l2h(w, h)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"start must have a nonzero, finite norm, got {norm}")
+    w /= norm
 
     iterations = 0
     converged = False

@@ -18,7 +18,7 @@ from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solut
 from perevo.kernel import kernel_matrix
 from perevo.operator import stencil_bands
 from perevo.spectral import monodromy
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 
 def test_prepare_certificate_baseline(heat_small):
@@ -76,8 +76,8 @@ def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, du_peng_s
     # one dgttrf per run of identical levels that a step enters: heat is one
     # run, du_peng three (before, inside and after its switch, level M being
     # level 0 again), sin_t changes D at every level, and the endpoint-only
-    # changes split no run
-    counts = {"dgttrf": 0, "dgttrs": 0}
+    # changes split no run; a vector then steps on one thread, by dgtsv
+    counts = {"dgttrf": 0, "dgttrs": 0, "dgtsv": 0}
 
     def counting(name):
         real = getattr(evolve, name)
@@ -92,14 +92,15 @@ def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, du_peng_s
     sin_t, ends = perevo.build_problem(SIN_T), perevo.build_problem(ENDPOINT_ONLY)
     assert ends.coeff.b[0].any() and ends.coeff.c0[-1].any() and ends.weight.values[-1].any()
     for spec, factored in ((heat_small, 1), (du_peng_small, 3), (sin_t, sin_t.tgrid.M), (ends, 1)):
-        counts.update(dgttrf=0, dgttrs=0)
+        counts.update(dgttrf=0, dgttrs=0, dgtsv=0)
         F = prepare(spec, 1.0)
-        assert counts == {"dgttrf": factored, "dgttrs": 0}
+        assert counts == {"dgttrf": factored, "dgttrs": 0, "dgtsv": 0}
         assert len({id(f) for f in F.steps}) == evolve.distinct_steps(spec) == factored
+        assert len({id(r) for r in F.rows}) == factored and len(F.rows) == len(F.steps)
         assert len(F.steps) == spec.tgrid.M
-        assert "steps=" not in repr(F)
+        assert "steps=" not in repr(F) and "rows=" not in repr(F)
         evolve_state(F, np.ones(spec.grid.n), 0, 3)
-        assert counts == {"dgttrf": factored, "dgttrs": 3}
+        assert counts == {"dgttrf": factored, "dgttrs": 0, "dgtsv": 3}
 
 
 def _reference_evolve(spec, lam, state, from_level, to_level, active=None):
@@ -159,6 +160,75 @@ def test_shared_factors_match_per_level_factors_bit_for_bit(target, lattice, mas
         assert monodromy(F).P.tobytes() == want.tobytes()
         want = _reference_evolve(spec, lam, np.eye(n), 3, M // 2 + 1, active) / spec.grid.h
         assert kernel_matrix(F, 3, M // 2 + 1).entries.tobytes() == want.tobytes()
+
+
+def test_dgtsv_matches_dgttrf_dgttrs_bit_for_bit():
+    # the one-thread path steps with dgtsv and the column blocks with the
+    # dgttrf factors; both must give the same bits, row interchanges included
+    rng = np.random.default_rng(14)
+    swapped = 0
+    for _ in range(1000):
+        n, k = int(rng.integers(3, 70)), int(rng.integers(1, 70))
+        dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
+        b = rng.standard_normal((n, k)) if k > 1 else rng.standard_normal(n)
+        *lu, info = dgttrf(dl, d, du)
+        assert info == 0
+        swapped += bool((lu[-1] != np.arange(1, n + 1)).any())
+        got = dgtsv(dl, d, du, b)
+        assert got[4] == 0
+        assert got[3].tobytes() == dgttrs(*lu, b)[0].tobytes()
+    assert swapped >= 900
+
+
+def _strong_advection(n, M):
+    """A problem far past the mesh-Peclet bound: |dl| > |d| in every step
+    matrix, so dgttrf interchanges rows."""
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, n), perevo.TimeGrid(1.0, M)
+    coeff = perevo.make_coefficients(grid, tgrid, 1.0, b=1000.0)
+    return perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"),
+                               perevo.make_weight(grid, tgrid, 1.0))
+
+
+@pytest.mark.parametrize("mask", [None, _wall_mask], ids=["free", "walled"])
+def test_row_interchanges_keep_the_bits_on_every_path(mask, monkeypatch):
+    spec = _strong_advection(9, 16)
+    active = None if mask is None else mask(spec)
+    with pytest.warns(UserWarning, match="Peclet"):
+        F = prepare(spec, 2.0, active)
+    assert any((ipiv != np.arange(1, spec.grid.n + 1)).any() for *_, ipiv in F.steps)
+    V = np.random.default_rng(9).standard_normal((spec.grid.n, 2 * evolve.BLOCK_MIN_COLUMNS + 3))
+    want = _reference_evolve(spec, 2.0, V, 0, spec.tgrid.M, active)
+    for workers in (1, 2):  # one dgtsv buffer, then two dgttrs blocks
+        monkeypatch.setattr(evolve, "column_workers", lambda workers=workers: workers)
+        assert evolve_state(F, V, 0, spec.tgrid.M).tobytes() == want.tobytes()
+    alone = evolve_state(F, V[:, 5], 0, spec.tgrid.M)
+    assert alone.tobytes() == want[:, 5].tobytes()
+
+
+@pytest.mark.parametrize("name", ["heat_baseline", "du_peng", "separable"])
+def test_two_nodes_step_alike_with_and_without_the_padded_row(name, monkeypatch):
+    # dgttrf needs a padded identity row at n = 2, dgtsv does not
+    spec = perevo.builtin_scenario(name, n=2, M=16)
+    V = np.random.default_rng(2).random((2, 2 * evolve.BLOCK_MIN_COLUMNS))
+    for lam in (0.0, 3.0, 1e4):
+        F = prepare(spec, lam)
+        monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+        blocks = evolve_state(F, V, 0, spec.tgrid.M)
+        monkeypatch.setattr(evolve, "column_workers", lambda: 1)
+        serial = evolve_state(F, V, 0, spec.tgrid.M)
+        assert blocks.tobytes() == serial.tobytes()
+
+
+def test_evolutions_leave_their_input_and_the_rows_unchanged(du_peng_small):
+    F = prepare(du_peng_small, 10.0)
+    rows = [tuple(band.copy() for band in r) for r in F.rows]
+    V = np.asfortranarray(np.random.default_rng(5).random((du_peng_small.grid.n, 8)))
+    kept = V.copy(order="A")
+    evolve_state(F, V, 0, du_peng_small.tgrid.M)
+    mild_solution(F, V[:, 0], ForcingField.constant(1.0, du_peng_small.grid, du_peng_small.tgrid))
+    assert V.tobytes(order="A") == kept.tobytes(order="A")
+    assert all(a.tobytes() == b.tobytes() for r, c in zip(F.rows, rows) for a, b in zip(r, c))
+    assert not any(band.flags.writeable for r in F.rows for band in r)
 
 
 def test_levels_differing_in_the_sign_of_a_zero_do_not_share_factors():

@@ -153,13 +153,19 @@ def _ladder_spec(name, n):
 
 
 def _counting_solves(monkeypatch):
+    """Count the steps of kernels too narrow to split (heat_small's n = 32):
+    they step on one thread, by dgtsv; a dgttrs call fails the test."""
     calls = [0]
-    real = evolve.dgttrs
+    real = evolve.dgtsv
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
-    monkeypatch.setattr(evolve, "dgttrs", counted)
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a narrow kernel stepped with the factors")
+    monkeypatch.setattr(evolve, "dgtsv", counted)
+    monkeypatch.setattr(evolve, "dgttrs", unexpected)
     return calls
 
 

@@ -6,9 +6,9 @@ import pytest
 
 import oracles
 import perevo
-from perevo import limitflow
+from perevo import evolve, limitflow
 from perevo.errors import InsufficientData, InvariantError, SingularStep, TrivialLimitComparison
-from perevo.evolve import StepFactorization, prepare
+from perevo.evolve import prepare
 from perevo.limitflow import (classify_divergent, compare_to_limit, du_peng_pieces,
                               limit_monodromy, sweep, vanishing_rate)
 from perevo.spectral import monodromy
@@ -266,14 +266,16 @@ def test_sweep_input_validation(dp_spec):
 
 
 def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
+    # the oracle's map (n = 48 columns) and samples step on one thread, by
+    # dgtsv; a call is the oracle's when it passes a diagonal of lim.F.rows
     calls = []
-    real = StepFactorization.solve
+    real = evolve.dgtsv
 
-    def counting(self, j, X):
-        calls.append((self, j))
-        return real(self, j, X)
+    def counting(dl, d, du, b, **kwargs):
+        calls.append(d)
+        return real(dl, d, du, b, **kwargs)
 
-    monkeypatch.setattr(StepFactorization, "solve", counting)
+    monkeypatch.setattr(evolve, "dgtsv", counting)
     lim = limit_monodromy(dp_spec, du_peng_pieces(dp_spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -282,8 +284,11 @@ def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
     compare_to_limit(records, lim, q=2.0)
     compare_to_limit(records, lim, q=1.0)
     M = dp_spec.tgrid.M
+    oracle_rows = {id(d) for _, d, _ in lim.F.rows}
+    oracle_calls = [d for d in calls if id(d) in oracle_rows]
     # M for Pinf, M for the eigenfunction samples
-    assert [j for F, j in calls if F is lim.F] == list(range(M)) * 2
+    assert len(oracle_calls) == 2 * M
+    assert all(d is lim.F.rows[k % M][1] for k, d in enumerate(oracle_calls))
 
 
 @pytest.mark.parametrize("case", ["du_peng", "two_intervals", "counterexample"])

@@ -103,6 +103,22 @@ def test_principal_pair_baseline(heat_small):
     assert resid <= 1e-10 * res.r
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"start": np.zeros(3)}, "nonzero"),
+    ({"start": np.array([1.0, np.nan, 1.0])}, "finite"),
+    ({"start": np.array([1.0, np.inf, 1.0])}, "finite"),
+    ({"start": np.full(3, 1e200)}, "nonzero, finite norm, got inf"),
+    ({"start": np.ones(4)}, r"shape \(3,\), got \(4,\)"),
+    ({"start": np.ones((3, 1))}, r"shape \(3,\)"),
+    ({"tol": 0.0}, "tol"),
+    ({"max_iter": 0}, "max_iter"),
+], ids=["zero", "nan", "inf", "norm_overflow", "too_long", "column", "tol", "max_iter"])
+def test_bad_power_iteration_arguments_rejected_up_front(kwargs, match):
+    # a zero or non-finite start used to run every iteration on NaN
+    with pytest.raises(ValueError, match=match):
+        spectral_radius(_mat(np.eye(3)), **kwargs)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_scalar_problem_single_node(n):
     # the smallest grids (n = 2 is below dgttrf's minimum): the period map is
