@@ -18,7 +18,8 @@ import perevo
 spec = perevo.builtin_scenario("heat_baseline", n=128, M=512)
 g, tg = spec.grid, spec.tgrid
 
-res = perevo.principal_pair(spec, 0.0)
+P = perevo.monodromy(perevo.prepare(spec, 0.0))
+res = perevo.spectral_radius(P)
 
 # exact spectrum of the implicit period map: the second-difference matrix has
 # eigenvalues (2/h^2)(1 - cos(k pi h / L)), each stepped M times
@@ -31,7 +32,7 @@ print(f"closed form           = {r_exact:.15f}")
 print(f"relative difference   = {abs(res.r - r_exact) / r_exact:.2e}")
 print(f"principal eigenvalue mu = {res.mu:.10f}   (continuum value: 1)")
 print(f"power iterations: {res.iterations}, residual {res.residual:.2e}, "
-      f"spectral gap {res.eigengap:.4f}")
+      f"spectral gap {perevo.eigengap(P):.4f}")
 
 # the eigenvector is the first discrete sine mode
 i = np.arange(1, g.n + 1)

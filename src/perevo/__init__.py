@@ -15,7 +15,7 @@ from .evolve import (StepFactorization, Trajectory, EnergyReport, ForcingField,
 from .kernel import (KernelMatrix, GaussianFit, kernel_matrix, check_monotone_in_lambda,
                      fit_gaussian, envelope_violation)
 from .spectral import (MonodromyMatrix, SpectralResult, PeriodicEigenfunction,
-                       monodromy, spectral_radius, principal_pair,
+                       monodromy, spectral_radius, eigengap, principal_pair,
                        periodic_eigenfunction)
 from .limitflow import (SweepRecord, LimitMonodromy, ConvergenceReport, VanishingRate,
                         sweep, limit_monodromy, compare_to_limit, vanishing_rate,

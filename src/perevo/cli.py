@@ -40,7 +40,7 @@ from .limitflow import (classify_divergent, compare_to_limit, limit_monodromy, s
                         vanishing_rate)
 from .model import SCENARIO_NAMES, ProblemSpec, builtin_scenario
 from .operator import garding_audit
-from .spectral import monodromy, periodic_eigenfunction, spectral_radius
+from .spectral import eigengap, monodromy, periodic_eigenfunction, spectral_radius
 from . import iofmt
 
 
@@ -99,7 +99,8 @@ def cmd_eigen(args) -> int:
     F = prepare(spec, args.lam)
     code = 0
     try:
-        res = spectral_radius(monodromy(F), tol=args.tol, max_iter=args.max_iter)
+        P = monodromy(F)
+        res = spectral_radius(P, tol=args.tol, max_iter=args.max_iter)
     except NoConvergence as exc:
         iofmt.write_json(os.path.join(outdir, "spectral_result.json"), {
             "lambda": args.lam, "r": exc.r_estimate, "mu": None,
@@ -113,7 +114,7 @@ def cmd_eigen(args) -> int:
     outputs = ["spectral_result.json"]
     iofmt.write_json(os.path.join(outdir, "spectral_result.json"), {
         "lambda": res.lam, "r": res.r, "mu": res.mu, "residual": res.residual,
-        "eigengap": res.eigengap, "iterations": res.iterations,
+        "eigengap": 0.0 if res.trivial else eigengap(P), "iterations": res.iterations,
         "trivial_limit": res.trivial,
     })
     if res.trivial:

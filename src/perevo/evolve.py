@@ -25,24 +25,24 @@ hard Dirichlet walls at the first inactive node on each side.
 
 evolve_state applies the discrete evolution map between two levels.  Because
 a composed evolution is literally the same sequence of solves, splitting it
-at any intermediate level reproduces the direct result bit for bit.  An
-evolution on one thread, every vector and every matrix too narrow to split,
-steps with dgtsv on the unfactored rows of L_j: it runs the elimination of
-dgttrf and the substitution of dgttrs row by row across all columns at
-once, with the same bits, and is the faster of the two.  The columns of a
-matrix state evolve independently, so a wide matrix is cut into contiguous
-column blocks that step concurrently on the CPUs the process may use; these
-step with the dgttrf factors through dgttrs, which releases the GIL, where
-scipy's dgtsv wrapper holds it and would serialize the blocks.  Each column
-sees the same arithmetic as it would alone, so the result has the same bits
-and the same memory order either way.
+at any intermediate level reproduces the direct result bit for bit.  Every
+evolution steps one Fortran-ordered copy of its state in place, through one
+step function (_step).  On one thread it steps with dgtsv on the unfactored
+rows of L_j: dgtsv runs the elimination of dgttrf and the substitution of
+dgttrs row by row across all columns at once, with the same bits, and is the
+faster of the two.  The columns of a matrix state evolve independently, so a
+wide matrix is cut into contiguous column blocks, views of that one buffer,
+that step concurrently on the CPUs the process may use; these step with the
+dgttrf factors through dgttrs, which releases the GIL, where scipy's dgtsv
+wrapper holds it and would serialize the blocks.  Each column sees the same
+arithmetic as it would alone, so the result has the same bits and the same
+memory order either way.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -100,15 +100,17 @@ class StepFactorization:
     rows[j] holds the unfactored bands (dl, d, du) of L_j (levels j -> j+1),
     which dgtsv steps with on one thread; steps[j] is their dgttrf
     factorization (dl, d, du, du2, ipiv), which dgttrs steps the column
-    blocks of a split evolution with.  Steps whose levels j+1 lie in one run
-    of level_runs share one rows tuple and one factorization, the very same
+    blocks of a split evolution with.  At n = 2 the factorization carries a
+    padded identity row (see prepare) and only certifies the pivots: such an
+    evolution never splits.  Steps whose levels j+1 lie in one run of
+    level_runs share one rows tuple and one factorization, the very same
     tuples.  The rows are read-only: dgtsv works on copies of them.
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level and every L_j has positive
     row sums (an M-matrix).
     active is None, or the (M+1, n) hard-wall mask prepare() was given: step
-    j then zeroes the right-hand side outside active[j+1].  _kernel_slot holds
-    kernel.kernel_matrix's last evolved identity.
+    j then zeroes the state outside active[j+1] before it solves.
+    _kernel_slot holds kernel.kernel_matrix's last evolved identity.
     """
 
     spec: ProblemSpec
@@ -132,17 +134,6 @@ class StepFactorization:
     @property
     def tgrid(self):
         return self.spec.tgrid
-
-    def solve(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Step j with the factors: solve L_j x = rhs (a vector, or a matrix of
-        columns) by dgttrs; with a mask, rhs is zeroed outside active[j+1]
-        first.  The column blocks of a split evolution step with this."""
-        if self.active is not None:
-            keep = self.active[j + 1].reshape((-1,) + (1,) * (rhs.ndim - 1))
-            rhs = np.where(keep, rhs, 0.0)
-        if self.n == 2:  # factored with a decoupled third row, see prepare()
-            rhs = np.concatenate([rhs, np.zeros((1,) + rhs.shape[1:])])
-        return dgttrs(*self.steps[j], rhs)[0][:self.n]
 
 
 def level_runs(spec: ProblemSpec, active: np.ndarray | None = None) -> np.ndarray:
@@ -214,7 +205,8 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     for band in bands:
         band.flags.writeable = False
     if spec.grid.n == 2:
-        # dgttrf needs n >= 3: append an identity row that couples to nothing
+        # dgttrf needs n >= 3: append an identity row that couples to nothing;
+        # these factors only check the pivots, as no n = 2 evolution splits
         dl, du = np.pad(dl, ((0, 0), (0, 1))), np.pad(du, ((0, 0), (0, 1)))
         d = np.pad(d, ((0, 0), (0, 1)), constant_values=1.0)
     factors = []
@@ -244,20 +236,24 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape[0] != F.n:
-        raise DimensionMismatch(f"state has leading dimension {v.shape[0]}, expected {F.n}")
+    if v.ndim not in (1, 2) or v.shape[0] != F.n:
+        raise DimensionMismatch(f"state has shape {v.shape}, expected ({F.n},) or ({F.n}, k)")
     return v
 
 
-def _gtsv(F: StepFactorization, j: int, b: np.ndarray) -> np.ndarray:
-    """Step j on one thread: solve L_j x = b by dgtsv on the rows of L_j, in
-    b's own memory when b is a vector or a Fortran-ordered matrix.  b must be
-    a buffer the caller owns; with a mask, its rows outside active[j+1] are
-    zeroed first.  dgtsv's info is not read: prepare's dgttrf ran the same
-    elimination on the same matrix and found no zero pivot."""
+def _step(F: StepFactorization, j: int, b: np.ndarray, factored: bool) -> None:
+    """Step j in place: solve L_j x = b in b's own memory, b a vector or a
+    Fortran-contiguous matrix that the caller owns.  With a mask, b's rows
+    outside active[j+1] are zeroed first.  factored steps with the dgttrf
+    factors through dgttrs, which releases the GIL; otherwise dgtsv steps on
+    the rows of L_j, with the same bits.  No info is read: prepare's dgttrf
+    ran the same elimination on the same matrix and found no zero pivot."""
     if F.active is not None:
         b[~F.active[j + 1]] = 0.0
-    return dgtsv(*F.rows[j], b, overwrite_b=1)[3]
+    if factored:
+        dgttrs(*F.steps[j], b, overwrite_b=1)
+    else:
+        dgtsv(*F.rows[j], b, overwrite_b=1)
 
 
 # Narrower blocks hand the GIL over too often for the solve work between
@@ -275,75 +271,41 @@ def column_workers() -> int:
         return os.cpu_count() or 1
 
 
-class _ColumnPool:
-    """Threads that step column blocks, made on the first split and reused.
-
-    A forked child must not reuse the parent's pool, whose threads do not
-    exist there, so the child forgets it and makes its own on demand.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._pool = None
-
-    def get(self, workers: int) -> ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(workers, thread_name_prefix="perevo-columns")
-            return self._pool
-
-    def forget(self):
-        self._lock = threading.Lock()
-        self._pool = None
-
-
-_COLUMN_POOL = _ColumnPool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_COLUMN_POOL.forget)
-
-
-def _steps(F: StepFactorization, w: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-    for j in range(from_level, to_level):
-        w = F.solve(j, w)
-    return w
-
-
 def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
     """Discrete evolution map applied to v (a vector, or a matrix of columns).
 
-    A matrix of at least 2 * BLOCK_MIN_COLUMNS columns evolves as contiguous
-    column blocks, one per usable CPU at most, each stepped by dgttrs, and
-    is stitched back into one Fortran-ordered array.  Anything else evolves
-    on the calling thread in one Fortran-ordered copy of v, stepped in place
-    by dgtsv.
+    v is copied once into a Fortran-ordered buffer, which every step
+    overwrites and which is returned; v itself is never written.  A matrix
+    of at least 2 * BLOCK_MIN_COLUMNS columns and n >= 3 rows steps as
+    contiguous column blocks of that buffer, one per usable CPU at most, each
+    by dgttrs on its own thread of a pool that lives as long as the
+    evolution.  Anything else steps on the calling thread by dgtsv.
     """
     if from_level > to_level:
         raise LevelOrder(f"need from_level <= to_level, got {from_level} > {to_level}")
     if not (0 <= from_level and to_level <= F.M):
         raise LevelOrder(f"levels {from_level}..{to_level} outside 0..{F.M}")
-    w = _check_state(F, v)
-    cpus = k = 1
-    if w.ndim == 2 and to_level > from_level:
-        cpus = column_workers()
-        k = min(cpus, w.shape[1] // BLOCK_MIN_COLUMNS)
-    if k <= 1:
-        w = np.array(w, order="F")
+    w = np.array(_check_state(F, v), order="F")
+
+    def run(b, factored):
         for j in range(from_level, to_level):
-            w = _gtsv(F, j, w)
+            _step(F, j, b, factored)
+
+    k = 1
+    if w.ndim == 2 and F.n >= 3 and to_level > from_level:
+        k = min(column_workers(), w.shape[1] // BLOCK_MIN_COLUMNS)
+    if k <= 1:
+        run(w, False)
         return w
-    # the calling thread steps the first block, the pool the others
     cuts = [w.shape[1] * b // k for b in range(k + 1)]
-    blocks = list(zip(cuts[:-1], cuts[1:]))
-    pool = _COLUMN_POOL.get(cpus - 1)
-    futures = [pool.submit(_steps, F, w[:, a:b], from_level, to_level) for a, b in blocks[1:]]
-    out = np.empty(w.shape, order="F")
-    try:
-        a, b = blocks[0]
-        out[:, a:b] = _steps(F, w[:, a:b], from_level, to_level)
-    finally:
-        for (a, b), fut in zip(blocks[1:], futures):
-            out[:, a:b] = fut.result()
-    return out
+    blocks = [w[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    # the calling thread steps the first block, the pool the others
+    with ThreadPoolExecutor(k - 1, thread_name_prefix="perevo-columns") as pool:
+        futures = [pool.submit(run, block, True) for block in blocks[1:]]
+        run(blocks[0], True)
+        for fut in futures:
+            fut.result()
+    return w
 
 
 @dataclass(frozen=True)
@@ -368,7 +330,8 @@ def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | Non
     dt = F.tgrid.dt
     yield w
     for j in range(F.M):
-        w = _gtsv(F, j, w.copy() if f is None else w + dt * f[:, j + 1])
+        w = w.copy() if f is None else w + dt * f[:, j + 1]
+        _step(F, j, w, False)
         yield w
 
 

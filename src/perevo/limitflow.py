@@ -37,7 +37,7 @@ import numpy as np
 from .admissibility import build_mask
 from .errors import (InsufficientData, InvariantError, NoConvergence, SingularStep,
                      TrivialLimitComparison)
-from .evolve import StepFactorization, evolve_state, prepare
+from .evolve import StepFactorization, prepare
 from .model import ProblemSpec
 from .spectral import monodromy, periodic_eigenfunction, periodic_samples, spectral_radius
 
@@ -99,10 +99,6 @@ class LimitMonodromy:
     spec: ProblemSpec
     F: StepFactorization = field(repr=False)
     _samples: np.ndarray | None = field(repr=False, default=None)
-
-    def evolve(self, v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-        """Hard-wall evolution between two levels (vector or matrix of columns)."""
-        return evolve_state(self.F, v, from_level, to_level)
 
     def eigenfunction_samples(self) -> np.ndarray:
         """Periodic eigenfunction of the limit problem, one row per level.

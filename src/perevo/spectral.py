@@ -7,10 +7,11 @@ periodic eigenfunction is rebuilt from the eigenvector w by
     u(t_j) = exp(mu t_j) * (evolution of w from level 0 to j).
 
 P is entrywise nonnegative under the positivity certificate, so the natural
-solver is power iteration with a Rayleigh-quotient estimate; a second,
-deflated pass estimates the gap to the next eigenvalue.  A numerically
-nilpotent period map (every state dies within one period) has no eigenpair;
-that case is reported through the trivial flag with mu = +inf.
+solver is power iteration with a Rayleigh-quotient estimate.  The gap to the
+next eigenvalue magnitude, which only the eigen report prints, is read off a
+dense eigendecomposition of P (eigengap).  A numerically nilpotent period map
+(every state dies within one period) has no eigenpair; that case is reported
+through the trivial flag with mu = +inf.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "PeriodicEigenfunction",
     "monodromy",
     "spectral_radius",
+    "eigengap",
     "principal_pair",
     "periodic_eigenfunction",
     "periodic_samples",
@@ -72,7 +74,6 @@ class SpectralResult:
     mu: float
     w: np.ndarray
     residual: float
-    eigengap: float
     iterations: int
     trivial: bool
 
@@ -87,33 +88,13 @@ def monodromy(F: StepFactorization) -> MonodromyMatrix:
     return MonodromyMatrix(P, F.lam, F.positivity, F.tgrid.T, F.spec.grid.h)
 
 
-def _deflated_second(P: np.ndarray, w: np.ndarray, h: float, r: float,
-                     iters: int = 300) -> float:
-    """Crude second-eigenvalue magnitude from a power pass orthogonal to w."""
-    n = P.shape[0]
-    if n < 2:
+def eigengap(P: MonodromyMatrix) -> float:
+    """|r1| - |r2|: the two largest eigenvalue magnitudes of the dense period
+    map apart, from np.linalg.eigvals; 0.0 for a 1 x 1 map."""
+    if P.n < 2:
         return 0.0
-    v = np.ones(n)
-    v[1::2] = -1.0
-    ww = h * float(w @ w)
-    v = v - w * (h * float(w @ v) / ww)
-    nv = _l2h(v, h)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    est_prev = None
-    for _ in range(iters):
-        z = P @ v
-        z = z - w * (h * float(w @ z) / ww)
-        nz = _l2h(z, h)
-        if nz == 0.0 or not np.isfinite(nz):
-            return 0.0
-        est = nz
-        v = z / nz
-        if est_prev is not None and abs(est - est_prev) <= 1e-8 * max(est, 1e-300):
-            break
-        est_prev = est
-    return float(est)
+    mags = np.sort(np.abs(np.linalg.eigvals(P.P)))
+    return float(mags[-1] - mags[-2])
 
 
 def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
@@ -148,8 +129,7 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int 
         z = A @ w
         nz = _l2h(z, h)
         if nz <= R_FLOOR:
-            return SpectralResult(P.lam, float(nz), math.inf, w, 0.0, 0.0,
-                                  iterations, True)
+            return SpectralResult(P.lam, float(nz), math.inf, w, 0.0, iterations, True)
         r = h * float(w @ z)  # Rayleigh quotient; w has unit h-norm
         resid = _l2h(z - r * w, h)
         w = z / nz
@@ -164,14 +144,10 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int 
     r = h * float(w @ z)
     resid = _l2h(z - r * w, h)
     if r <= R_FLOOR:
-        return SpectralResult(P.lam, float(r), math.inf, w, float(resid), 0.0,
-                              iterations, True)
+        return SpectralResult(P.lam, float(r), math.inf, w, float(resid), iterations, True)
 
-    second = _deflated_second(A, w, h, r)
-    gap = max(r - second, 0.0)
     mu = -math.log(r) / T
-    return SpectralResult(P.lam, float(r), float(mu), w, float(resid), float(gap),
-                          iterations, False)
+    return SpectralResult(P.lam, float(r), float(mu), w, float(resid), iterations, False)
 
 
 def principal_pair(spec: ProblemSpec, lam: float, tol: float = DEFAULT_TOL,

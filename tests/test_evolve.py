@@ -12,7 +12,7 @@ import pytest
 import oracles
 import perevo
 from perevo import evolve
-from perevo.errors import InvariantError, LevelOrder
+from perevo.errors import DimensionMismatch, InvariantError, LevelOrder
 from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
                            prepare, trajectory_rows)
 from perevo.kernel import kernel_matrix
@@ -205,15 +205,22 @@ def test_row_interchanges_keep_the_bits_on_every_path(mask, monkeypatch):
     assert alone.tobytes() == want[:, 5].tobytes()
 
 
+def _no_dgttrs(*args, **kwargs):
+    raise AssertionError("an n = 2 evolution stepped with the padded factors")
+
+
 @pytest.mark.parametrize("name", ["heat_baseline", "du_peng", "separable"])
 def test_two_nodes_step_alike_with_and_without_the_padded_row(name, monkeypatch):
-    # dgttrf needs a padded identity row at n = 2, dgtsv does not
+    # dgttrf needs a padded identity row at n = 2, dgtsv does not, so an
+    # n = 2 evolution never splits and never calls dgttrs
     spec = perevo.builtin_scenario(name, n=2, M=16)
     V = np.random.default_rng(2).random((2, 2 * evolve.BLOCK_MIN_COLUMNS))
     for lam in (0.0, 3.0, 1e4):
         F = prepare(spec, lam)
         monkeypatch.setattr(evolve, "column_workers", lambda: 2)
-        blocks = evolve_state(F, V, 0, spec.tgrid.M)
+        with monkeypatch.context() as m:
+            m.setattr(evolve, "dgttrs", _no_dgttrs)
+            blocks = evolve_state(F, V, 0, spec.tgrid.M)
         monkeypatch.setattr(evolve, "column_workers", lambda: 1)
         serial = evolve_state(F, V, 0, spec.tgrid.M)
         assert blocks.tobytes() == serial.tobytes()
@@ -262,6 +269,15 @@ def test_level_order_enforced(heat_small):
         evolve_state(F, np.zeros(heat_small.grid.n), 5, 2)
 
 
+@pytest.mark.parametrize("shape", [(), (32, 2, 2), (31,), (31, 4)],
+                         ids=["scalar", "three_axes", "short_vector", "short_matrix"])
+def test_states_that_are_not_vectors_or_matrices_rejected(heat_small, shape):
+    # a scalar used to raise IndexError and an (n, 2, 2) array to evolve
+    F = prepare(heat_small, 0.0)
+    with pytest.raises(DimensionMismatch):
+        evolve_state(F, np.ones(shape), 0, 2)
+
+
 def test_sine_mode_closed_form(heat_small):
     F = prepare(heat_small, 0.0)
     g, tg = heat_small.grid, heat_small.tgrid
@@ -299,7 +315,7 @@ def test_monotone_decay_in_penalty(du_peng_small):
     Fs = [prepare(du_peng_small, lam) for lam in lams]
     states = [v.copy() for _ in lams]
     for j in range(du_peng_small.tgrid.M):
-        states = [F.solve(j, s) for F, s in zip(Fs, states)]
+        states = [evolve_state(F, s, j, j + 1) for F, s in zip(Fs, states)]
         for s1, s2 in zip(states, states[1:]):
             assert float((s2 - s1).max()) <= 1e-12
 
@@ -426,7 +442,7 @@ def test_one_worker_gives_the_same_bytes(monkeypatch):
     assert default.flags.f_contiguous and serial.flags.f_contiguous
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch):
+def test_concurrent_callers_get_the_bits_of_single_columns(monkeypatch):
     # more column workers and callers than cores, with frequent thread switches
     monkeypatch.setattr(evolve, "column_workers", lambda: 4)
     F = _split_spec(127)
@@ -450,6 +466,17 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert all(g is not None and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_split_evolution_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+    calls = []
+    real = evolve.dgttrs
+    monkeypatch.setattr(evolve, "dgttrs", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    evolve_state(_split_spec(127), np.eye(127), 0, 96)
+    assert len(calls) == 2 * 96  # two blocks stepped
+    alive = [t.name for t in threading.enumerate() if t.name.startswith("perevo-columns")]
+    assert alive == []
 
 
 def test_forked_child_finishes_a_monodromy(monkeypatch):

@@ -8,7 +8,7 @@ import oracles
 import perevo
 from perevo import evolve, limitflow
 from perevo.errors import InsufficientData, InvariantError, SingularStep, TrivialLimitComparison
-from perevo.evolve import prepare
+from perevo.evolve import evolve_state, prepare
 from perevo.limitflow import (classify_divergent, compare_to_limit, du_peng_pieces,
                               limit_monodromy, sweep, vanishing_rate)
 from perevo.spectral import monodromy
@@ -105,9 +105,10 @@ def test_du_peng_oracle_value_matches_wall_eigenvalue(dp_spec, dp_oracle):
 def test_limit_evolution_regrouping_bit_identical(dp_oracle, dp_spec):
     v = np.sin(np.pi * dp_spec.grid.interior())
     M = dp_spec.tgrid.M
-    direct = dp_oracle.evolve(v, 0, M)
+    F = dp_oracle.F
+    direct = evolve_state(F, v, 0, M)
     for split in (7, 128, 255):
-        regrouped = dp_oracle.evolve(dp_oracle.evolve(v, 0, split), split, M)
+        regrouped = evolve_state(F, evolve_state(F, v, 0, split), split, M)
         assert np.array_equal(direct, regrouped)
 
 

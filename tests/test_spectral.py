@@ -7,7 +7,7 @@ import oracles
 import perevo
 from perevo.errors import NoConvergence, TrivialLimit
 from perevo.evolve import prepare
-from perevo.spectral import (MonodromyMatrix, monodromy, periodic_eigenfunction,
+from perevo.spectral import (MonodromyMatrix, eigengap, monodromy, periodic_eigenfunction,
                              principal_pair, spectral_radius)
 
 
@@ -25,9 +25,10 @@ def test_identity_period_map():
 
 
 def test_diagonal_period_map():
-    res = spectral_radius(_mat(np.diag([2.0, 1.0]), h=0.5))
+    P = _mat(np.diag([2.0, 1.0]), h=0.5)
+    res = spectral_radius(P)
     assert res.r == pytest.approx(2.0)
-    assert res.eigengap == pytest.approx(1.0, abs=1e-6)
+    assert eigengap(P) == pytest.approx(1.0, abs=1e-6)
     assert abs(res.w[1]) <= 1e-8
 
 
@@ -95,12 +96,21 @@ def test_principal_pair_baseline(heat_small):
     assert res.r == pytest.approx(r_exact, rel=1e-10)
     assert res.mu == pytest.approx(-math.log(r_exact) / tg.T, rel=1e-10)
     assert res.residual <= 1e-10 * res.r
-    assert res.eigengap > 0
     # eigenvalue/eigenvector consistency re-checked here, independent of the solver
     P = monodromy(prepare(heat_small, 0.0))
+    assert eigengap(P) > 0
     h = g.h
     resid = math.sqrt(h * float(((P.P @ res.w) - res.r * res.w) @ ((P.P @ res.w) - res.r * res.w)))
     assert resid <= 1e-10 * res.r
+
+
+def test_eigengap_at_odd_n_is_the_closed_form():
+    # at odd n a deflated power pass from (+1, -1, ...) never sees the
+    # antisymmetric second mode and reported r1 - r3 (0.367997 here)
+    spec = perevo.builtin_scenario("heat_baseline", n=127, M=800)
+    g, tg = spec.grid, spec.tgrid
+    r1, r2 = ((1.0 + tg.dt * oracles.mode_eigenvalue(g, k)) ** (-tg.M) for k in (1, 2))
+    assert eigengap(monodromy(prepare(spec, 0.0))) == pytest.approx(r1 - r2, rel=1e-10)
 
 
 @pytest.mark.parametrize("kwargs, match", [
