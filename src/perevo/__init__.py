@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 from .model import (Grid1D, TimeGrid, CoefficientField, BoundarySpec, WeightField,
                     ProblemSpec, builtin_scenario, make_coefficients, make_weight,
                     make_problem, sample_sup_norms, coercivity_shift)
-from .config import build_problem, declared_pieces, parse_lambda_list
+from .config import build_problem, parse_lambda_list
 from .operator import assemble_A, mesh_peclet_ok, garding_audit
 from .evolve import (StepFactorization, Trajectory, EnergyReport, ForcingField,
                      prepare, evolve_state, mild_solution, energy_report,

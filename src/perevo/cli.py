@@ -8,8 +8,8 @@ kernel TARGET --lambda L --s S --t T   kernel dump plus Gaussian envelope
 check TARGET                 vanishing-set admissibility report and mask grid
 demo NAME                    canned end-to-end run of one builtin scenario
 
-TARGET is a builtin scenario name (heat_baseline, du_peng, counterexample,
-separable) or a path to a config document; --config PATH forces the latter.
+TARGET is a builtin scenario name (heat_baseline, du_peng, counterexample)
+or a path to a config document; --config PATH forces the latter.
 Outputs land in --out (default ./perevo_out); the PEREVO_OUT environment
 variable overrides --out.  Every run writes a run_manifest.json with a stable
 digest of the resolved problem; eigen, sweep and kernel add factored_steps,
@@ -31,7 +31,7 @@ import time
 
 from . import __version__
 from .admissibility import build_mask, check_assumption, mask_text
-from .config import build_problem, declared_pieces, parse_lambda_list
+from .config import build_problem, parse_lambda_list
 from .errors import (NoConvergence, PerevoError, SchemaError, SingularStep, TrivialLimit,
                      TrivialLimitComparison)
 from .evolve import column_workers, distinct_steps, prepare, trajectory_rows, Trajectory
@@ -45,18 +45,17 @@ from . import iofmt
 
 
 def _resolve(target: str, config: str | None, **lattice):
-    """Return (spec, pieces, label) from a scenario name or config path; pieces
-    are a config document's [limit] slabs, None for builtins.  The lattice
+    """Return (spec, label) from a scenario name or config path.  The lattice
     keywords n and M rebuild either kind on another lattice."""
     if config is None:
         if target is None:
             raise SchemaError("no scenario or config given")
         if target in SCENARIO_NAMES:
-            return builtin_scenario(target, **lattice), None, target
+            return builtin_scenario(target, **lattice), target
         if not os.path.exists(target):
             raise SchemaError(f"{target!r} is neither a builtin scenario nor a config file")
         config = target
-    return build_problem(config, **lattice), declared_pieces(config), config
+    return build_problem(config, **lattice), config
 
 
 def _outdir(args) -> str:
@@ -93,7 +92,7 @@ def _audit(spec, seed):
 
 def cmd_eigen(args) -> int:
     t0 = time.time()
-    spec, _, label = _resolve(args.target, args.config)
+    spec, label = _resolve(args.target, args.config)
     outdir = _outdir(args)
     _audit(spec, args.seed)
     F = prepare(spec, args.lam)
@@ -132,12 +131,12 @@ def cmd_eigen(args) -> int:
 
 def cmd_sweep(args) -> int:
     t0 = time.time()
-    spec, pieces, label = _resolve(args.target, args.config)
+    spec, label = _resolve(args.target, args.config)
     outdir = _outdir(args)
     _audit(spec, args.seed)
     lambdas = parse_lambda_list(args.lambdas)
     try:
-        oracle = limit_monodromy(spec, pieces)
+        oracle = limit_monodromy(spec)
     except SingularStep as exc:
         print(f"warning: no hard-wall oracle: {exc}", file=sys.stderr)
         oracle = None
@@ -205,7 +204,7 @@ def _level_of(spec, t: float, what: str) -> int:
 
 def cmd_kernel(args) -> int:
     t0 = time.time()
-    spec, _, label = _resolve(args.target, args.config)
+    spec, label = _resolve(args.target, args.config)
     outdir = _outdir(args)
     if args.s >= args.t:
         raise SchemaError(f"need s < t, got s={args.s}, t={args.t}")
@@ -256,11 +255,11 @@ def cmd_check(args) -> int:
     k = args.refine
     if k < 1:
         raise SchemaError(f"--refine needs K >= 1, got {k}")
-    spec, _, label = _resolve(args.target, args.config)
+    spec, label = _resolve(args.target, args.config)
     if k > 1:
         # mask-only refinement: rebuild the target on the k-times finer lattice
-        spec, _, _ = _resolve(args.target, args.config,
-                              n=k * (spec.grid.n + 1) - 1, M=k * spec.tgrid.M)
+        spec, _ = _resolve(args.target, args.config,
+                           n=k * (spec.grid.n + 1) - 1, M=k * spec.tgrid.M)
     outdir = _outdir(args)
     mask = build_mask(spec.weight, spec.grid, spec.tgrid)
     report = check_assumption(mask)

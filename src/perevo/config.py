@@ -1,10 +1,10 @@
 """Plain-text configuration documents.
 
 A document is INI-style: sections [grid], [time], [coefficients], [boundary],
-[weight], [scheme], and an optional [limit] section declaring slabs that
-trace the weight's free set.  [scheme] theta, when given, must be 1: the time
-stepper is fully implicit.  Coefficient and weight values are either bare
-numbers or calls from a small fixed catalog:
+[weight] and [scheme].  The weight is the only description of the vanishing
+set: the hard-wall limit is posed on its free set.  [scheme] theta, when
+given, must be 1: the time stepper is fully implicit.  Coefficient and
+weight values are either bare numbers or calls from a small fixed catalog:
 
     const(v)                         constant v
     sin_t(offset, amplitude)         offset + amplitude * sin(2 pi t / T)
@@ -17,11 +17,6 @@ checked by the same model functions as the builtins:
     du_peng(u_lo, u_hi, t_switch)
     counterexample(x0..x5, t0..t5)   twelve numbers, grid-snapped
     separable(x1, x2, t1, t2)        alias for indicator_box
-
-[limit] keys are piece1, piece2, ... with values "t_start t_end REGION" where
-REGION is "all", "empty", or one or more "lo:hi" intervals.  The hard-wall
-limit oracle takes its domain from the weight, so the slabs are only a
-cross-check: a sweep fails when they disagree with the weight's free set.
 """
 
 from __future__ import annotations
@@ -35,7 +30,7 @@ import numpy as np
 from . import model
 from .errors import SchemaError
 
-__all__ = ["build_problem", "declared_pieces", "parse_lambda_list"]
+__all__ = ["build_problem", "parse_lambda_list"]
 
 _SCHEMA = {
     "grid": {"x_lo", "x_hi", "n"},
@@ -44,7 +39,6 @@ _SCHEMA = {
     "boundary": {"bc", "b0_left", "b0_right", "bc_left", "bc_right"},
     "weight": {"weight", "delta"},
     "scheme": {"theta"},
-    "limit": None,  # piece1..pieceN, validated separately
 }
 _REQUIRED = {("grid", "x_lo"), ("grid", "x_hi"), ("grid", "n"),
              ("time", "T"), ("time", "M"),
@@ -74,12 +68,8 @@ def _validate_keys(cp: configparser.ConfigParser):
     for section in cp.sections():
         if section not in _SCHEMA:
             raise SchemaError(f"unknown section [{section}]")
-        allowed = _SCHEMA[section]
         for key in cp[section]:
-            if allowed is None:
-                if not key.startswith("piece"):
-                    raise SchemaError(f"unknown key {key!r} in [limit] (expected piece1, piece2, ...)")
-            elif key not in allowed:
+            if key not in _SCHEMA[section]:
                 raise SchemaError(f"unknown key {key!r} in [{section}]")
     for section, key in _REQUIRED:
         if not cp.has_option(section, key):
@@ -228,45 +218,6 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     wl = _lattice(cp, "weight", "weight", grid, tgrid, 0.0, weight_ok=True)
     weight = model.make_weight(grid, tgrid, m=wl, delta=_number(cp, "weight", "delta"))
     return model.make_problem(grid, tgrid, coeff, bc, weight)
-
-
-def declared_pieces(text_or_path: str):
-    """Return the [limit] slab declaration as a list of (t0, t1, region), or None.
-
-    region is "all", "empty", or a tuple of (lo, hi) pairs.
-    """
-    cp = _read(text_or_path)
-    _validate_keys(cp)
-    if not cp.has_section("limit"):
-        return None
-    items = sorted(cp["limit"].items(), key=lambda kv: kv[0])
-    pieces = []
-    for key, raw in items:
-        tokens = raw.split()
-        if len(tokens) < 3:
-            raise SchemaError(f"[limit] {key}: expected 't_start t_end REGION'")
-        try:
-            t0, t1 = float(tokens[0]), float(tokens[1])
-        except ValueError:
-            raise SchemaError(f"[limit] {key}: bad slab times {tokens[:2]}") from None
-        region_tokens = tokens[2:]
-        if region_tokens == ["all"]:
-            region = "all"
-        elif region_tokens == ["empty"]:
-            region = "empty"
-        else:
-            region = []
-            for tok in region_tokens:
-                if ":" not in tok:
-                    raise SchemaError(f"[limit] {key}: bad interval {tok!r} (expected lo:hi)")
-                lo, hi = tok.split(":", 1)
-                try:
-                    region.append((float(lo), float(hi)))
-                except ValueError:
-                    raise SchemaError(f"[limit] {key}: bad interval {tok!r}") from None
-            region = tuple(region)
-        pieces.append((t0, t1, region))
-    return pieces
 
 
 def parse_lambda_list(text: str):

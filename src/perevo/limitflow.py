@@ -88,8 +88,8 @@ class LimitMonodromy:
     """Hard-wall period map, its spectral data, and the stepper that built it.
 
     F is the hard-wall StepFactorization: zero penalty, stepped with the
-    weight's free set as the active-node mask.  mu_inf is +inf when the period
-    map is the zero matrix (no eigenpair).
+    weight's free set as the active-node mask.  mu_inf is +inf when every
+    eigenvalue of the period map is zero (no eigenpair).
     """
 
     Pinf: np.ndarray
@@ -151,18 +151,19 @@ def limit_monodromy(spec: ProblemSpec, pieces=None) -> LimitMonodromy:
     (t0, t1, region) slabs, are optional and only cross-checked against that
     set (see _check_pieces).  The spectral radius comes from a dense
     eigendecomposition, an algorithm independent of the sweep's power
-    iteration.  A period map without a nonzero entry has no eigenpair.
+    iteration.  A period map whose eigenvalues are all zero, the zero map
+    or a nilpotent one, has no eigenpair.
     """
     active = np.ascontiguousarray(build_mask(spec.weight, spec.grid, spec.tgrid).free[1:-1].T)
     if pieces is not None:
         _check_pieces(spec, active, pieces)
     F = prepare(spec, 0.0, active)
     Pinf = monodromy(F).P
-    if not Pinf.any():
-        return LimitMonodromy(Pinf, 0.0, math.inf, None, spec, F)
     eigvals, eigvecs = np.linalg.eig(Pinf)
     k = int(np.argmax(np.abs(eigvals)))
     r_inf = float(np.abs(eigvals[k]))
+    if r_inf == 0.0:
+        return LimitMonodromy(Pinf, 0.0, math.inf, None, spec, F)
     w = np.real(eigvecs[:, k])
     if w.sum() < 0:
         w = -w

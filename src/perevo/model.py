@@ -426,18 +426,15 @@ def staircase_weight(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
 #: keywords every builtin takes, with the defaults the rows below override
 _LATTICE = dict(x_lo=0.0, x_hi=1.0, T=1.0, n=64, M=512, D=1.0, bc="dirichlet")
 
-#: one row per builtin: (defaults over _LATTICE, weight builder or None,
-#: builtin keyword -> builder keyword).  The remaining keywords go to the
-#: weight builder and are the builtin's geometry.
+#: one row per builtin: (defaults over _LATTICE, weight builder or None).
+#: The remaining keywords go to the weight builder and are the builtin's
+#: geometry.
 _SCENARIOS = {
-    "heat_baseline": (dict(x_hi=math.pi, n=128), None, {}),
-    "du_peng": ({}, du_peng_weight, {}),
+    "heat_baseline": (dict(x_hi=math.pi, n=128), None),
+    "du_peng": ({}, du_peng_weight),
     # staircase whose vanishing region is connected only by paths that move
     # backwards in time; the hard-wall limit of the period map is zero
-    "counterexample": (dict(n=60, M=600), staircase_weight, {}),
-    # product weight 1_[sx_lo, sx_hi)(x) * 1_[st_lo, st_hi)(t)
-    "separable": (dict(sx_lo=0.5, sx_hi=1.0, st_lo=0.5, st_hi=1.0), box_weight,
-                  dict(sx_lo="x1", sx_hi="x2", st_lo="t1", st_hi="t2")),
+    "counterexample": (dict(n=60, M=600), staircase_weight),
 }
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
@@ -450,7 +447,7 @@ def builtin_scenario(name: str, **params) -> ProblemSpec:
     without a weight builder has m = 0.
     """
     try:
-        defaults, weight, rename = _SCENARIOS[name]
+        defaults, weight = _SCENARIOS[name]
     except KeyError:
         raise BadScenarioParams(
             f"unknown scenario {name!r}; expected one of {sorted(_SCENARIOS)}"
@@ -458,9 +455,8 @@ def builtin_scenario(name: str, **params) -> ProblemSpec:
     kw = {**_LATTICE, **defaults, **params}
     lat = {key: kw.pop(key) for key in _LATTICE}
     grid, tgrid = Grid1D(lat["x_lo"], lat["x_hi"], lat["n"]), TimeGrid(lat["T"], lat["M"])
-    geometry = {rename.get(key, key): value for key, value in kw.items()}
-    if weight is None and geometry:
-        raise TypeError(f"{name} got unexpected keyword arguments {sorted(geometry)}")
-    m = 0.0 if weight is None else weight(grid, tgrid, **geometry)
+    if weight is None and kw:
+        raise TypeError(f"{name} got unexpected keyword arguments {sorted(kw)}")
+    m = 0.0 if weight is None else weight(grid, tgrid, **kw)
     coeff = make_coefficients(grid, tgrid, lat["D"])
     return make_problem(grid, tgrid, coeff, BoundarySpec(lat["bc"]), make_weight(grid, tgrid, m))

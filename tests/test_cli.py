@@ -78,9 +78,13 @@ def test_eigen_bad_config_exit_2(tmp_path, capsys):
     assert "x_hoo" in capsys.readouterr().err
 
 
-def test_unknown_target_exit_2(tmp_path):
+def test_unknown_target_exit_2(tmp_path, monkeypatch, capsys):
     rc = main(["eigen", str(tmp_path / "missing.cfg"), "--out", str(tmp_path / "o")])
     assert rc == 2
+    # a box weight is the config expression indicator_box(...), not a builtin
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "separable", "--out", str(tmp_path / "o")]) == 2
+    assert "'separable' is neither a builtin scenario" in capsys.readouterr().err
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
@@ -114,6 +118,42 @@ def test_sweep_counterexample_divergent(tmp_path):
     assert rep["divergent"] is True and rep["trivial"] is True
     assert rep["mu_inf"] is None
     assert rep["p_norm_decay"][-1][1] <= rep["p_norm_decay"][0][1]
+
+
+# two free channels; the left one drifts right over the period, so every
+# hard-wall path runs from the left level-0 run to the right one: the map is
+# nonzero (247 entries) but nilpotent, and eig returns only exact zeros
+DRIFT = """
+[grid]
+x_lo = 0
+x_hi = 1
+n = 63
+[time]
+T = 1
+M = 100
+[coefficients]
+D = 1
+[boundary]
+bc = dirichlet
+[weight]
+weight = sum(indicator_box(0, 0.1, 0, 0.3), indicator_box(0.3, 0.6, 0, 0.3), \
+indicator_box(0.9, 1, 0, 0.3), indicator_box(0, 0.1, 0.3, 0.6), \
+indicator_box(0.5, 1, 0.3, 0.6), indicator_box(0, 0.4, 0.6, 0.8), \
+indicator_box(0.8, 1, 0.6, 0.8), indicator_box(0, 0.6, 0.8, 1), indicator_box(0.9, 1, 0.8, 1))
+"""
+
+
+def test_sweep_with_a_nilpotent_hard_wall_map_is_trivial(tmp_path):
+    cfg = tmp_path / "drift.cfg"
+    cfg.write_text(DRIFT)
+    lim = perevo.limit_monodromy(perevo.build_problem(str(cfg)))
+    assert np.count_nonzero(lim.Pinf) == 247 and lim.mu_inf == math.inf
+    out = tmp_path / "sw"
+    rc = main(["sweep", str(cfg), "--lambdas", "1,10,100,1000", "--out", str(out)])
+    assert rc == 0
+    rep = json.loads((out / "convergence_report.json").read_text())
+    assert rep["divergent"] is True and rep["trivial"] is True
+    assert rep["mu_inf"] is None
 
 
 def test_kernel_outputs_and_snap(tmp_path, capsys):
@@ -215,19 +255,9 @@ def test_env_var_overrides_out(tmp_path, monkeypatch):
     assert not (tmp_path / "flag_out").exists()
 
 
-def test_config_with_declared_pieces(tmp_path):
-    extra = "\n[limit]\npiece1 = 0 0.5 all\npiece2 = 0.5 1.0 0:0.5\n"
-    cfg = _cfg(tmp_path, weight="du_peng(0, 0.5, 0.5)", extra=extra)
-    out = tmp_path / "sw"
-    rc = main(["sweep", cfg, "--lambdas", "0,1e2,1e4", "--eps", "0.5", "--out", str(out)])
-    assert rc == 0
-    rep = json.loads((out / "convergence_report.json").read_text())
-    assert rep["mu_inf"] is not None and rep["mu_gap"] >= 0
-
-
 def test_sweep_reports_the_limit_of_every_weight(tmp_path):
     box = "indicator_box(0.5, 1.0, 0.5, 1.0)"
-    for name, target, mu_inf in (("sep", "separable", 24.3235),
+    for name, target, mu_inf in (("dp", "du_peng", 24.3235),
                                  ("cfg", _cfg(tmp_path, weight=box), None)):
         out = tmp_path / name
         assert main(["sweep", target, "--lambdas", "0,1e2,1e4", "--out", str(out)]) == 0
@@ -238,12 +268,13 @@ def test_sweep_reports_the_limit_of_every_weight(tmp_path):
             assert rep["mu_inf"] == pytest.approx(mu_inf, abs=1e-4)
 
 
-def test_config_with_mismatched_pieces_exit_2(tmp_path, capsys):
-    extra = "\n[limit]\npiece1 = 0 0.5 all\npiece2 = 0.5 1.0 0:0.25\n"
+def test_config_with_limit_section_exit_2(tmp_path, capsys):
+    # the weight is the only description of the vanishing set
+    extra = "\n[limit]\npiece1 = 0 0.5 all\npiece2 = 0.5 1.0 0:0.5\n"
     cfg = _cfg(tmp_path, weight="du_peng(0, 0.5, 0.5)", extra=extra)
     rc = main(["sweep", cfg, "--lambdas", "0,1e2", "--out", str(tmp_path / "sw")])
     assert rc == 2
-    assert "disagree with the weight's free set" in capsys.readouterr().err
+    assert "unknown section [limit]" in capsys.readouterr().err
 
 
 def test_sweep_without_oracle_when_its_step_is_singular(tmp_path, capsys):

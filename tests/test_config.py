@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import perevo
-from perevo.config import build_problem, declared_pieces, parse_lambda_list
+from perevo.config import build_problem, parse_lambda_list
 from perevo.errors import BadScenarioParams, InvariantError, SchemaError
 
 BASE = """
@@ -100,34 +100,33 @@ def test_builtin_weight_in_config():
     assert np.array_equal(spec.weight.values, ref.weight.values)
 
 
+# the model function behind each expression, on BASE's lattice; separable(...)
+# is the config alias of indicator_box(...), both built by model.box_weight
+_REFERENCE = {
+    "du_peng": lambda **params: perevo.builtin_scenario("du_peng", n=16, M=32, **params),
+    "separable": lambda **params: perevo.model.box_weight(
+        perevo.Grid1D(0.0, 1.0, 16), perevo.TimeGrid(1.0, 32), **params),
+}
+
+
 @pytest.mark.parametrize("expr, name, params", [
     ("du_peng(0.6, 0.2, 0.5)", "du_peng", {"u_lo": 0.6, "u_hi": 0.2}),
     ("du_peng(0, 0.5, 0)", "du_peng", {"t_switch": 0.0}),
-    ("separable(0.5, 0.25, 0, 1)", "separable", {"sx_lo": 0.5, "sx_hi": 0.25}),
-    ("indicator_box(0, 1, 0.7, 0.2)", "separable", {"sx_lo": 0.0, "st_lo": 0.7, "st_hi": 0.2}),
+    ("separable(0.5, 0.25, 0, 1)", "separable", dict(x1=0.5, x2=0.25, t1=0.0, t2=1.0)),
+    ("indicator_box(0, 1, 0.7, 0.2)", "separable", dict(x1=0.0, x2=1.0, t1=0.7, t2=0.2)),
 ])
 def test_config_weight_checks_match_the_builtin(expr, name, params):
     with pytest.raises(BadScenarioParams) as from_builtin:
-        perevo.builtin_scenario(name, n=16, M=32, **params)
+        _REFERENCE[name](**params)
     with pytest.raises(BadScenarioParams) as from_config:
         build_problem(BASE.replace("weight = 0.0", f"weight = {expr}"))
     assert str(from_config.value) == str(from_builtin.value)
 
 
-def test_declared_pieces():
-    doc = BASE + "\n[limit]\npiece1 = 0 0.5 all\npiece2 = 0.5 1.0 0:0.5\n"
-    pieces = declared_pieces(doc)
-    assert pieces == [(0.0, 0.5, "all"), (0.5, 1.0, ((0.0, 0.5),))]
-    assert declared_pieces(BASE) is None
-    with pytest.raises(SchemaError):
-        declared_pieces(BASE + "\n[limit]\npiece1 = 0 1\n")
-
-
-def test_declared_pieces_multi_interval_and_empty():
-    doc = BASE + "\n[limit]\npiece1 = 0 0.5 0:0.25 0.75:1\npiece2 = 0.5 1.0 empty\n"
-    pieces = declared_pieces(doc)
-    assert pieces[0][2] == ((0.0, 0.25), (0.75, 1.0))
-    assert pieces[1][2] == "empty"
+def test_limit_section_is_unknown():
+    # the weight is the only description of the vanishing set
+    with pytest.raises(SchemaError, match=r"unknown section \[limit\]"):
+        build_problem(BASE + "\n[limit]\npiece1 = 0 0.5 all\npiece2 = 0.5 1.0 0:0.5\n")
 
 
 def test_parse_lambda_list():
@@ -154,4 +153,4 @@ def test_missing_config_file_is_named(tmp_path):
     with pytest.raises(SchemaError, match=re.escape(f"config file {missing!r} does not exist")):
         build_problem(missing)
     with pytest.raises(SchemaError, match="config file 'missing.cfg' does not exist"):
-        declared_pieces("missing.cfg")
+        build_problem("missing.cfg")

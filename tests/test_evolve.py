@@ -209,7 +209,7 @@ def _no_dgttrs(*args, **kwargs):
     raise AssertionError("an n = 2 evolution stepped with the padded factors")
 
 
-@pytest.mark.parametrize("name", ["heat_baseline", "du_peng", "separable"])
+@pytest.mark.parametrize("name", ["heat_baseline", "du_peng"])
 def test_two_nodes_step_alike_with_and_without_the_padded_row(name, monkeypatch):
     # dgttrf needs a padded identity row at n = 2, dgtsv does not, so an
     # n = 2 evolution never splits and never calls dgttrs
@@ -480,18 +480,40 @@ def test_split_evolution_leaves_no_thread_behind(monkeypatch):
 
 
 def test_forked_child_finishes_a_monodromy(monkeypatch):
+    # fork while another thread is inside a split evolution: the first dgttrs
+    # call holds its block until the fork is done, so a perevo-columns thread
+    # is alive at the fork
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
     F = _split_spec(96)
-    want = monodromy(F).P  # the parent's pool now has a worker thread
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            code = 0 if np.array_equal(monodromy(F).P, want) else 3
-        finally:
-            os._exit(code)
+    want = monodromy(F).P
+    inside, forked = threading.Event(), threading.Event()
+    real = evolve.dgttrs
+
+    def held_once(*args, **kwargs):
+        if not inside.is_set():
+            inside.set()
+            forked.wait(60.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "dgttrs", held_once)
+    got = []
+    background = threading.Thread(target=lambda: got.append(monodromy(F).P))
+    background.start()
+    try:
+        assert inside.wait(60.0)
+        assert any(t.name.startswith("perevo-columns") for t in threading.enumerate())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(monodromy(F).P, want) else 3
+            finally:
+                os._exit(code)
+    finally:
+        forked.set()
+        background.join(60.0)
     deadline = time.monotonic() + 60.0
     while True:
         done, status = os.waitpid(pid, os.WNOHANG)
@@ -503,3 +525,4 @@ def test_forked_child_finishes_a_monodromy(monkeypatch):
             pytest.fail("child process hung in monodromy after fork")
         time.sleep(0.05)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert not background.is_alive() and np.array_equal(got[0], want)

@@ -201,11 +201,10 @@ def test_bad_scenario_params():
 
 
 def test_separable_scenario():
-    spec = perevo.builtin_scenario("separable", sx_lo=0.25, sx_hi=0.75,
-                                   st_lo=0.5, st_hi=1.0, n=15, M=16)
-    vals = spec.weight.values
-    xs = spec.grid.nodes()
-    ts = spec.tgrid.reduced_levels()
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 15), perevo.TimeGrid(1.0, 16)
+    vals = perevo.model.box_weight(grid, tgrid, 0.25, 0.75, 0.5, 1.0)
+    xs = grid.nodes()
+    ts = tgrid.reduced_levels()
     expected = ((xs[:, None] >= 0.25) & (xs[:, None] < 0.75)
                 & (ts[None, :] >= 0.5)).astype(float)
     assert np.array_equal(vals, expected)
@@ -225,7 +224,6 @@ def test_digest_deterministic_and_sensitive():
     ("heat_baseline", "c8e81111810a9ac1f7d04b63b32098dd4f781d0dbe8008930fc79cfc1b9a191f"),
     ("du_peng", "9829a714a45a6858638011ee73f84b9bd93bfaabc7f046d4bc6825ef3f7620f1"),
     ("counterexample", "f23236f59f1add9bc34bf9fa847661f4be0236b39f70b88bb7a18ae69ecc08c8"),
-    ("separable", "d5f41371444e1a4d40dca6a350ca3ee7f4d9a64bc031f1c1799aca0d6d288b58"),
 ])
 def test_builtin_digests_at_default_lattice(name, digest):
     assert perevo.builtin_scenario(name).digest() == digest
