@@ -274,7 +274,9 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
         return SweepRecord(lam, res.r, res.mu, res.residual, mass, dist,
                            False, True, res.iterations, P.P, u)
 
-    records = [one(lam) for lam in lambdas]
+    records = []
+    for lam in lambdas:  # a plain loop: a comprehension's frame would shift stacklevel
+        records.append(one(lam))
 
     finite = [r for r in records if r.valid]
     for r1, r2 in zip(finite, finite[1:]):

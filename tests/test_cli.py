@@ -89,9 +89,28 @@ def test_unknown_target_exit_2(tmp_path, monkeypatch, capsys):
 
 def test_missing_config_file_exit_2(tmp_path, capsys):
     missing = str(tmp_path / "nonexistent.cfg")
-    rc = main(["check", "du_peng", "--config", missing, "--out", str(tmp_path / "o")])
+    rc = main(["check", missing, "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert f"config file {missing!r} does not exist" in capsys.readouterr().err
+    assert f"{missing!r} is neither a builtin scenario nor a config file" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_seed_and_config_options_exit_2(tmp_path, capsys):
+    # the target is the one way to name a problem, and nothing is seeded
+    out = ["--out", str(tmp_path / "o")]
+    for argv in (["eigen", "du_peng"], ["sweep", "du_peng"], ["check", "du_peng"],
+                 ["kernel", "du_peng", "--s", "0", "--t", "0.5"], ["demo", "du_peng"]):
+        for option in ("--seed", "--config"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, option, "1", *out])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+        if argv[0] != "demo":
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], *argv[2:], *out])
+            assert exc.value.code == 2
+            assert "required: target" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_sweep_outputs(tmp_path):
@@ -156,6 +175,23 @@ def test_sweep_with_a_nilpotent_hard_wall_map_is_trivial(tmp_path):
     assert rep["mu_inf"] is None
 
 
+def test_sweep_without_a_valid_row_writes_its_report(tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.warns(UserWarning, match="did not converge"):
+        rc = main(["sweep", "du_peng", "--lambdas", "1,10", "--tol", "1e-300",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "no penalty gave a valid row" in capsys.readouterr().err
+    report = json.loads((out / "convergence_report.json").read_text())
+    assert list(report) == ["lambda_max", "divergent", "n_records", "vanishing_slope",
+                            "vanishing_status", "trivial", "mu_inf", "mu_gap", "op_gap_max",
+                            "eig_dist_max", "q"]
+    assert report["mu_inf"] == pytest.approx(24.32, abs=0.01)
+    assert report["mu_gap"] is report["op_gap_max"] is report["eig_dist_max"] is None
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert "convergence_report.json" in manifest["outputs"]
+
+
 def test_kernel_outputs_and_snap(tmp_path, capsys):
     out = tmp_path / "k"
     rc = main(["kernel", "heat_baseline", "--lambda", "0", "--s", "0", "--t", "0.05",
@@ -204,12 +240,11 @@ def test_check_refines_a_config_document(tmp_path):
     cfg = _cfg(tmp_path, weight="du_peng(0.0, 0.5, 0.5)")
     ref = perevo.builtin_scenario("du_peng", n=33, M=64)
     mask = mask_text(build_mask(ref.weight, ref.grid, ref.tgrid))
-    for name, argv in (("doc", [cfg]), ("flag", ["--config", cfg])):
-        out = tmp_path / name
-        assert main(["check", *argv, "--refine", "2", "--out", str(out)]) == 0
-        manifest = json.loads((out / "run_manifest.json").read_text())
-        assert manifest["digest"] == ref.digest() and manifest["config"] == cfg
-        assert (out / "mask.txt").read_text() == mask
+    out = tmp_path / "doc"
+    assert main(["check", cfg, "--refine", "2", "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["digest"] == ref.digest() and manifest["config"] == cfg
+    assert (out / "mask.txt").read_text() == mask
 
 
 def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
@@ -218,6 +253,11 @@ def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):
     assert main(["check", "du_peng", "--out", str(tmp_path / "o")]) == 0
     manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
     assert manifest["digest"] == perevo.builtin_scenario("du_peng").digest()
+    # a path spelled with a directory reaches the file
+    assert main(["check", "./du_peng", "--out", str(tmp_path / "f")]) == 7
+    manifest = json.loads((tmp_path / "f" / "run_manifest.json").read_text())
+    assert manifest["digest"] == perevo.build_problem("du_peng").digest()
+    assert manifest["config"] == "./du_peng"
 
 
 def test_check_leaves_scipy_ndimage_unimported(tmp_path):

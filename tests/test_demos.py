@@ -7,8 +7,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECT = {
-    "demo_penalty_limit.py": "hard-wall limit eigenvalue mu_inf = 24.32",
+    "demo_baseline_eigenvalue.py": "principal eigenvalue mu = 0.9989753804",
     "demo_degenerate_staircase.py": "hard-wall period map max entry:   0.0e+00",
+    "demo_kernel_envelope.py": "kernel peak at gap 0.05: 1.2745",
+    "demo_penalty_limit.py": "hard-wall limit eigenvalue mu_inf = 24.32",
+    "demo_reachability.py": "first unreachable pair: ((1, 0), (24, 150))",
 }
 
 

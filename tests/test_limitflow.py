@@ -244,6 +244,12 @@ def test_no_convergence_row_keeps_estimates(dp_spec):
     assert rec.r > 0 and rec.residual > 0
 
 
+def test_penalty_warnings_point_at_the_caller(dp_spec):
+    with pytest.warns(UserWarning, match="did not converge") as caught:
+        sweep(dp_spec, [0.0, 1.0], eps=0.5, max_iter=1)
+    assert [w.filename for w in caught] == [__file__, __file__]
+
+
 def test_sweep_builds_one_period_map_per_penalty(dp_spec, monkeypatch):
     calls = []
 

@@ -155,7 +155,7 @@ def test_theta_range_enforced(tmp_path, capsys):
     with pytest.raises(SchemaError, match="theta"):
         perevo.build_problem(str(doc))
     assert perevo.build_problem(HALF_THETA.replace("theta = 0.5", "theta = 1.0")).grid.n == 8
-    assert main(["eigen", "--config", str(doc), "--out", str(tmp_path / "o")]) == 2
+    assert main(["eigen", str(doc), "--out", str(tmp_path / "o")]) == 2
     assert "theta" in capsys.readouterr().err
 
 
