@@ -20,8 +20,10 @@ every maximal free run of every level.  Components are the runs less the
 union-find merges of runs that share a node at consecutive levels.
 Reachability is computed level by level: within one level the reachable set
 floods whole runs, and moving up intersects with the next level's free
-cells.  Witness paths are re-validated cell by cell by an independent
-checker.
+cells.  The flood starts from the start node's whole level-0 run, so every
+start in one run has the same reachable sets, and one history per level-0
+run decides the forward-path condition for all of its nodes.  Witness paths
+are re-validated cell by cell by an independent checker.
 """
 
 from __future__ import annotations
@@ -187,15 +189,22 @@ def validate_witness(mask: SpaceTimeMask, witness: PathWitness, start, end) -> b
 
 
 def _reach_history(mask: SpaceTimeMask, y: int):
-    """Reachable sets R_j for a start node y at level 0, one column at a time."""
+    """Reachable sets R_j for a start node y at level 0, one column at a time.
+
+    y enters only through its level-0 run, which is flooded whole.  Run ids
+    are unique over the lattice, so one table indexed by id marks the runs
+    entered from below; id 0 (blocked) is never marked, since up is free.
+    """
     free, runs = mask.free, mask.runs
     history = np.zeros_like(free)
     history[:, 0] = runs[0] == runs[0, y]
+    reached = np.zeros(int(runs.max()) + 1, dtype=bool)
     for j in range(1, mask.n_levels):
         up = history[:, j - 1] & free[:, j]
         if not up.any():
             break
-        history[:, j] = np.isin(runs[j], runs[j, up])
+        reached[runs[j, up]] = True
+        history[:, j] = reached[runs[j]]
     return history
 
 
@@ -242,6 +251,11 @@ def check_assumption(mask: SpaceTimeMask) -> AdmissibilityReport:
     the whole free slice at every later level.  On failure the first failing
     pair ((y, 0), (x, j)) in scan order is returned; on success a sample
     witness path to the last free cell of the final level.
+
+    The reachable sets depend on y only through its level-0 run, so one
+    history is built per run, from the run's first node.  Starts are taken
+    in ascending node order, so the first failing start is the first node
+    of the first failing run, exactly as a scan over every start finds it.
     """
     regular = check_regular_support(mask)
     comp_count = components(mask)
@@ -254,7 +268,8 @@ def check_assumption(mask: SpaceTimeMask) -> AdmissibilityReport:
     failing = None
     witness = None
     first_history = None
-    for y in starts:
+    _, first_of_run = np.unique(mask.runs[0, starts], return_index=True)
+    for y in starts[first_of_run]:
         history = _reach_history(mask, int(y))
         if first_history is None:
             first_history = history

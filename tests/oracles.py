@@ -103,6 +103,24 @@ def flood_reachable(mask, start):
     return seen
 
 
+def first_unreachable_pair(mask):
+    """First ((y, 0), (x, j)) with (x, j) free at a level j >= 1 that a
+    queue-based flood from the free level-0 node y misses; starts y ascend,
+    and each start's misses are scanned level by level, node by node.  None
+    when every free level-0 node reaches every later free cell."""
+    free = mask.free
+    n_nodes, n_levels = free.shape
+    for y in range(n_nodes):
+        if not free[y, 0]:
+            continue
+        seen = flood_reachable(mask, (y, 0))
+        for j in range(1, n_levels):
+            for x in range(n_nodes):
+                if free[x, j] and not seen[x, j]:
+                    return (y, 0), (x, j)
+    return None
+
+
 def ndimage_opening(cells):
     """Opening (erosion then dilation) by the full 3x3 block, from
     scipy.ndimage with its default border_value=0."""

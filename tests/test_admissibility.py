@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 import perevo
+from perevo import admissibility
 from perevo.admissibility import (SpaceTimeMask, _opening, build_mask, check_assumption,
                                   check_regular_support, components, mask_text, slices,
                                   validate_witness)
@@ -104,6 +105,89 @@ def test_witness_against_independent_reachability():
     free_counts = mask.free.sum(axis=0)
     for j in range(1, mask.n_levels):
         assert (seen[:, j] & mask.free[:, j]).sum() == free_counts[j]
+
+
+def _random_mask(rng, n=10, M=16):
+    """1-4 blocked boxes on an n-node, M-step lattice; in half of the masks
+    1-2 single level-0 cells are blocked too, which splits level 0 into
+    several free runs."""
+    supp = np.zeros((n + 2, M + 1), dtype=bool)
+    for _ in range(int(rng.integers(1, 5))):
+        i0, i1 = np.sort(rng.integers(0, n + 3, size=2))
+        j0, j1 = np.sort(rng.integers(0, M + 2, size=2))
+        supp[i0:i1, j0:j1] = True
+    if rng.random() < 0.5:
+        supp[rng.integers(2, n, size=int(rng.integers(1, 3))), 0] = True
+    free = ~supp
+    free[[0, -1], :] = False
+    return SpaceTimeMask(free, supp, 0.5, 1.0, 1.0)
+
+
+def test_forward_paths_match_per_start_flood_on_random_masks():
+    rng = np.random.default_rng(20261019)
+    several_runs = failed = failed_after_first_run = 0
+    for _ in range(300):
+        mask = _random_mask(rng)
+        rep = check_assumption(mask)
+        if not mask.free.any(axis=0).all():
+            assert not rep.slices_nonempty and not rep.assumption_holds
+            assert rep.failing_pair is None
+            continue
+        pair = oracles.first_unreachable_pair(mask)
+        assert rep.failing_pair == pair
+        assert rep.assumption_holds == (pair is None)
+        starts = slices(mask, 0)
+        run_ids = mask.runs[0, starts]
+        several_runs += run_ids[-1] != run_ids[0]
+        if pair is None:
+            end = (int(slices(mask, mask.n_levels - 1)[-1]), mask.n_levels - 1)
+            assert validate_witness(mask, rep.witness, (int(starts[0]), 0), end)
+        else:
+            failed += 1
+            failed_after_first_run += mask.runs[0, pair[0][0]] != run_ids[0]
+    assert several_runs >= 100 and failed >= 50 and failed_after_first_run >= 3
+
+
+def _three_run_mask():
+    """Level 0 has free runs {1, 2, 3}, {5, 6, 7} and {9, 10}.  Level 1 has
+    runs {1} and {3, ..., 10}; the first level-0 run reaches both, the
+    second only the wide one.  Levels 2 and 3 are free from 1 to 10."""
+    free = np.zeros((12, 4), dtype=bool)
+    free[1:11, :] = True
+    free[[4, 8], 0] = False
+    free[2, 1] = False
+    return SpaceTimeMask(free, ~free, 0.5, 1.0, 1.0)
+
+
+def test_second_level0_run_fails_at_its_first_node():
+    mask = _three_run_mask()
+    assert np.unique(mask.runs[0, slices(mask, 0)]).size == 3
+    rep = check_assumption(mask)
+    assert rep.slices_nonempty and not rep.assumption_holds
+    assert rep.failing_pair == ((5, 0), (1, 1))
+    assert rep.failing_pair == oracles.first_unreachable_pair(mask)
+
+
+def test_one_reach_history_per_level0_run(monkeypatch):
+    calls = []
+    inner = admissibility._reach_history
+
+    def counted(mask, y):
+        calls.append(y)
+        return inner(mask, y)
+
+    monkeypatch.setattr(admissibility, "_reach_history", counted)
+    # du_peng at --refine 2: one level-0 run of 129 free nodes
+    base = perevo.builtin_scenario("du_peng")
+    spec = perevo.builtin_scenario("du_peng", n=2 * (base.grid.n + 1) - 1, M=2 * base.tgrid.M)
+    mask = build_mask(spec.weight, spec.grid, spec.tgrid)
+    assert slices(mask, 0).size == 129
+    assert check_assumption(mask).assumption_holds
+    assert calls == [1]
+
+    calls.clear()
+    check_assumption(_three_run_mask())
+    assert calls == [1, 5]
 
 
 def test_interior_slab_two_components():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -222,9 +223,22 @@ def test_check_exit_codes(tmp_path):
 
 def test_check_refine_flag(tmp_path):
     assert main(["check", "du_peng", "--refine", "2", "--out", str(tmp_path / "r")]) == 0
-    lines = (tmp_path / "r" / "mask.txt").read_text().splitlines()
+    text = (tmp_path / "r" / "mask.txt").read_bytes()
     spec_lines = 2 * 512 + 1  # refined time levels plus one
-    assert len(lines) == spec_lines
+    assert len(text.decode().splitlines()) == spec_lines
+    assert hashlib.sha256(text).hexdigest() == (
+        "428698b4d780b8cb148c4abc4b85489e3f3e37244d358508da267fe763530b0c")
+    rep = json.loads((tmp_path / "r" / "admissibility_report.json").read_text())
+    assert rep["assumption_holds"] is True and rep["failing_pair"] is None
+    assert rep["witness_length"] == 1153 and rep["components"] == 1
+
+    assert main(["check", "counterexample", "--refine", "4",
+                 "--out", str(tmp_path / "c")]) == 6
+    text = (tmp_path / "c" / "mask.txt").read_bytes()
+    assert hashlib.sha256(text).hexdigest() == (
+        "9b08a8cae9cc609565c2363ae19fb2a5aecfe2251b875c0228ed306f18afb17e")
+    rep = json.loads((tmp_path / "c" / "admissibility_report.json").read_text())
+    assert rep["failing_pair"] == [[1, 0], [98, 600]]
 
 
 @pytest.mark.parametrize("k", ["0", "-3"])
