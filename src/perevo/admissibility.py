@@ -14,15 +14,15 @@ belong to the boundary, never to the vanishing region.  The checks here are
 All of them rest on plain numpy.  The opening is an erosion then a dilation,
 each the AND (OR) over the 3x3 block around every cell of the support padded
 with False cells, so every cell outside the lattice counts as free.  The free
-region is read through one run-label array, built once per mask
-(SpaceTimeMask.runs): level-major, one row per level, holding a unique id for
-every maximal free run of every level.  Components are the runs less the
-union-find merges of runs that share a node at consecutive levels.
-Reachability is computed level by level: within one level the reachable set
-floods whole runs, and moving up intersects with the next level's free
-cells.  The flood starts from the start node's whole level-0 run, so every
-start in one run has the same reachable sets, and one history per level-0
-run decides the forward-path condition for all of its nodes.  Witness paths
+region is read through one run graph, built once per mask
+(SpaceTimeMask.graph) from a few vectorized calls: it lists every maximal
+free run, numbered level by level from node 0 up, and gives each run the id
+range of the runs one level below that share a node with it.  Components
+are the runs less the union-find merges along those edges.  Within a level
+the reachable set floods whole runs, and moving up reaches exactly the runs
+that share a node with a reached run below, so one forward pass over the
+runs per level-0 run decides the forward-path condition for all of that
+run's nodes, and the witness walks down the graph run by run.  Witness paths
 are re-validated cell by cell by an independent checker.
 """
 
@@ -51,6 +51,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class RunGraph:
+    """Every maximal free run of a mask, numbered level by level from node 0
+    up: run r covers nodes first[r]..last[r] of level level[r], and the runs
+    one level below that share a node with it are the ids lo[r] <= k < hi[r]
+    (none at level 0).  Plain lists, since every reader walks them run by
+    run."""
+
+    level: list
+    first: list
+    last: list
+    lo: list
+    hi: list
+
+
+@dataclass(frozen=True)
 class SpaceTimeMask:
     """Boolean lattices for the free region and the weight support.
 
@@ -74,16 +89,21 @@ class SpaceTimeMask:
         return self.free.shape[1]
 
     @cached_property
-    def runs(self) -> np.ndarray:
-        """Level-major (n_levels, n_nodes) int32 labels of the maximal free
-        runs: 0 on blocked cells, and ids 1, 2, ... numbered level by level
-        from node 0 up, so no two runs of the lattice share an id."""
-        free = self.free.T
-        starts = free.copy()
-        starts[:, 1:] &= ~free[:, :-1]
-        ids = np.cumsum(starts, dtype=np.int32).reshape(free.shape)
-        ids[~free] = 0
-        return ids
+    def graph(self) -> RunGraph:
+        """The maximal free runs and the edges between consecutive levels."""
+        # level-major cells, each level closed by a blocked cell, so no run
+        # carries on from one level's last node into the next level's first
+        width = self.n_nodes + 1
+        cells = np.zeros((self.n_levels, width), dtype=bool)
+        cells[:, :-1] = self.free.T
+        start, stop = np.flatnonzero(np.diff(cells.ravel(), prepend=False)).reshape(-1, 2).T
+        level, first = np.divmod(start, width)
+        # one level down, run k shares a node with run r when k ends at or
+        # after r's first node and starts at or before r's last node
+        lo = np.searchsorted(stop, start - width, side="right")
+        hi = np.searchsorted(start, stop - width)
+        return RunGraph(level.tolist(), first.tolist(), (stop - 1 - level * width).tolist(),
+                        lo.tolist(), hi.tolist())
 
 
 def build_mask(weight: WeightField, grid: Grid1D, tgrid: TimeGrid) -> SpaceTimeMask:
@@ -140,13 +160,8 @@ def slices(mask: SpaceTimeMask, j: int) -> np.ndarray:
 def components(mask: SpaceTimeMask) -> int:
     """4-connected component count of the free region: the free runs less
     the union-find merges of runs that share a node at consecutive levels."""
-    runs = mask.runs
-    below, above = runs[:-1], runs[1:]
-    # two runs share one stretch of nodes or none: keep the stretch's first node
-    first = (below > 0) & (above > 0)
-    first[:, 1:] &= (below[:, 1:] != below[:, :-1]) | (above[:, 1:] != above[:, :-1])
-    n_runs = int(runs.max())
-    parent = list(range(n_runs + 1))
+    g = mask.graph
+    parent = list(range(len(g.level)))
 
     def root(a):
         while parent[a] != a:
@@ -155,12 +170,13 @@ def components(mask: SpaceTimeMask) -> int:
         return a
 
     merges = 0
-    for a, b in zip(below[first].tolist(), above[first].tolist()):
-        ra, rb = root(a), root(b)
-        if ra != rb:
-            parent[rb] = ra
-            merges += 1
-    return n_runs - merges
+    for r, (lo, hi) in enumerate(zip(g.lo, g.hi)):
+        for k in range(lo, hi):
+            ra, rb = root(k), root(r)
+            if ra != rb:
+                parent[rb] = ra
+                merges += 1
+    return len(parent) - merges
 
 
 @dataclass(frozen=True)
@@ -188,24 +204,21 @@ def validate_witness(mask: SpaceTimeMask, witness: PathWitness, start, end) -> b
     return True
 
 
-def _reach_history(mask: SpaceTimeMask, y: int):
-    """Reachable sets R_j for a start node y at level 0, one column at a time.
+def _first_unreached(g: RunGraph, n0: int, s: int):
+    """One forward pass from level-0 run s (of n0 level-0 runs): the lowest
+    id of a run at a level >= 1 that s does not reach, or None.
 
-    y enters only through its level-0 run, which is flooded whole.  Run ids
-    are unique over the lattice, so one table indexed by id marks the runs
-    entered from below; id 0 (blocked) is never marked, since up is free.
+    A run above level 0 is reached when it shares a node with a reached run
+    one level below.  count[r] is the number of reached runs among ids < r,
+    so ids lo..hi-1 hold a reached run exactly when count[hi] > count[lo];
+    every run before the first unreached one is reached.
     """
-    free, runs = mask.free, mask.runs
-    history = np.zeros_like(free)
-    history[:, 0] = runs[0] == runs[0, y]
-    reached = np.zeros(int(runs.max()) + 1, dtype=bool)
-    for j in range(1, mask.n_levels):
-        up = history[:, j - 1] & free[:, j]
-        if not up.any():
-            break
-        reached[runs[j, up]] = True
-        history[:, j] = reached[runs[j]]
-    return history
+    count = [0] * (s + 1) + [1] * (n0 - s)
+    for r in range(n0, len(g.level)):
+        if count[g.hi[r]] == count[g.lo[r]]:
+            return r
+        count.append(count[r] + 1)
+    return None
 
 
 @dataclass(frozen=True)
@@ -218,26 +231,32 @@ class AdmissibilityReport:
     witness: PathWitness | None
 
 
-def _build_witness(mask: SpaceTimeMask, history: np.ndarray, y: int,
-                   target: tuple) -> PathWitness:
-    """Reconstruct one path from (y, 0) to the target using the R_j history.
+def _build_witness(g: RunGraph) -> PathWitness:
+    """One path from the first free cell of level 0 to the last free cell of
+    the final level, once every run above level 0 is known to be reached
+    from level-0 run 0.
 
-    Walking downwards from the target: at each level find the entry node of
-    the current free run (a cell that was already reachable one level below),
-    record the horizontal stretch, and descend.  The collected cells are then
-    reversed into a forward path.
+    Walking downwards from the target: in the current run, find the node
+    nearest the current one (the lower on ties) that is reachable one level
+    below, record the horizontal stretch to it, and descend into the run
+    below that holds it.  Below level 1 only run 0 is reachable.  The
+    collected cells are then reversed into a forward path.
     """
-    ti, tj = target
-    free, runs = mask.free, mask.runs
+    r = len(g.level) - 1
+    cur = g.last[r]
     cells = []
-    cur = ti
-    for j in range(tj, 0, -1):
-        run = runs[j] == runs[j, cur]
-        candidates = np.flatnonzero(run & history[:, j - 1] & free[:, j - 1])
-        w = int(candidates[np.argmin(np.abs(candidates - cur))])
-        step = 1 if w >= cur else -1
-        cells.extend((i, j) for i in range(cur, w + step, step))
-        cur = w
+    while g.level[r] > 0:
+        j = g.level[r]
+        best = None
+        for k in range(g.lo[r], g.hi[r]) if j > 1 else (0,):
+            # cur clamped into the stretch that runs r and k share
+            w = min(max(cur, g.first[k]), g.last[k], g.last[r])
+            if best is None or abs(w - cur) < abs(best - cur):
+                best, below = w, k
+        step = 1 if best >= cur else -1
+        cells.extend((i, j) for i in range(cur, best + step, step))
+        cur, r = best, below
+    y = g.first[0]
     step = 1 if y >= cur else -1
     cells.extend((i, 0) for i in range(cur, y + step, step))
     cells.reverse()
@@ -253,39 +272,25 @@ def check_assumption(mask: SpaceTimeMask) -> AdmissibilityReport:
     witness path to the last free cell of the final level.
 
     The reachable sets depend on y only through its level-0 run, so one
-    history is built per run, from the run's first node.  Starts are taken
-    in ascending node order, so the first failing start is the first node
-    of the first failing run, exactly as a scan over every start finds it.
+    forward pass over the run graph is made per run.  Starts are taken in
+    ascending node order, so the first failing start is the first node of
+    the first failing run, exactly as a scan over every start finds it, and
+    the first node of the lowest-id unreached run is the first missed cell
+    in level-then-node order.
     """
     regular = check_regular_support(mask)
     comp_count = components(mask)
     nonempty = bool(mask.free.any(axis=0).all())
-    starts = slices(mask, 0)
 
-    if not nonempty or starts.size == 0:
+    if not nonempty:
         return AdmissibilityReport(regular, False, comp_count, False, None, None)
 
-    failing = None
-    witness = None
-    first_history = None
-    _, first_of_run = np.unique(mask.runs[0, starts], return_index=True)
-    for y in starts[first_of_run]:
-        history = _reach_history(mask, int(y))
-        if first_history is None:
-            first_history = history
-        missed = mask.free & ~history
-        missed[:, 0] = False
-        if missed.any():
-            cols = np.flatnonzero(missed.any(axis=0))
-            j = int(cols[0])
-            x = int(np.flatnonzero(missed[:, j])[0])
-            failing = ((int(y), 0), (x, j))
-            break
-
-    holds = failing is None
-    if holds:
-        last = slices(mask, mask.n_levels - 1)
-        target = (int(last[-1]), mask.n_levels - 1)
-        y0 = int(starts[0])
-        witness = _build_witness(mask, first_history, y0, target)
-    return AdmissibilityReport(regular, True, comp_count, holds, failing, witness)
+    g = mask.graph
+    n0 = g.level.count(0)
+    for s in range(n0):
+        r = _first_unreached(g, n0, s)
+        if r is not None:
+            failing = ((g.first[s], 0), (g.first[r], g.level[r]))
+            return AdmissibilityReport(regular, True, comp_count, False, failing, None)
+    witness = _build_witness(g)
+    return AdmissibilityReport(regular, True, comp_count, True, None, witness)

@@ -287,7 +287,9 @@ class ProblemSpec:
         """Stable hash of every lattice and scalar that defines the problem.
 
         The field after M is the literal 1.0, the time stepper's theta when
-        theta was a parameter; it stays so that digests keep their values."""
+        theta was a parameter; it stays so that digests keep their values.
+        Each lattice is hashed from its own buffer, which _freeze made
+        C-contiguous, so its bytes are those tobytes() would copy."""
         hsh = hashlib.sha256()
         head = (
             f"{self.grid.x_lo!r},{self.grid.x_hi!r},{self.grid.n},"
@@ -298,7 +300,7 @@ class ProblemSpec:
         )
         hsh.update(head.encode())
         for arr in (self.coeff.D, self.coeff.a, self.coeff.b, self.coeff.c0, self.weight.values):
-            hsh.update(arr.tobytes())
+            hsh.update(arr.data)
         return hsh.hexdigest()
 
 

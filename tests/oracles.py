@@ -121,6 +121,40 @@ def first_unreachable_pair(mask):
     return None
 
 
+def witness_walk(mask):
+    """Cell-by-cell witness path from the first free level-0 node y to the
+    last free cell of the final level, over the flood from (y, 0).  Walking
+    down from the target, each level's free stretch around the current node
+    is scanned for the flooded nodes one level below; the nearest one, the
+    lower on ties, is where the path goes down.  Returns the cells in
+    forward order, or None when the target is not flooded."""
+    free = mask.free
+    n_nodes, n_levels = free.shape
+    y = next(i for i in range(n_nodes) if free[i, 0])
+    seen = flood_reachable(mask, (y, 0))
+    top = n_levels - 1
+    cur = max(i for i in range(n_nodes) if free[i, top])
+    if not seen[cur, top]:
+        return None
+    cells = []
+    for j in range(top, 0, -1):
+        lo = hi = cur
+        while lo > 0 and free[lo - 1, j]:
+            lo -= 1
+        while hi < n_nodes - 1 and free[hi + 1, j]:
+            hi += 1
+        entry = None
+        for i in range(lo, hi + 1):
+            if seen[i, j - 1] and (entry is None or abs(i - cur) < abs(entry - cur)):
+                entry = i
+        step = 1 if entry >= cur else -1
+        cells += [(i, j) for i in range(cur, entry + step, step)]
+        cur = entry
+    step = 1 if y >= cur else -1
+    cells += [(i, 0) for i in range(cur, y + step, step)]
+    return tuple(reversed(cells))
+
+
 def ndimage_opening(cells):
     """Opening (erosion then dilation) by the full 3x3 block, from
     scipy.ndimage with its default border_value=0."""

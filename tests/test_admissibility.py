@@ -107,10 +107,11 @@ def test_witness_against_independent_reachability():
         assert (seen[:, j] & mask.free[:, j]).sum() == free_counts[j]
 
 
-def _random_mask(rng, n=10, M=16):
+def _random_mask(rng, n=10, M=16, block_ends=True):
     """1-4 blocked boxes on an n-node, M-step lattice; in half of the masks
     1-2 single level-0 cells are blocked too, which splits level 0 into
-    several free runs."""
+    several free runs.  With block_ends False the endpoint nodes stay free
+    wherever no box covers them, as in a mask built directly."""
     supp = np.zeros((n + 2, M + 1), dtype=bool)
     for _ in range(int(rng.integers(1, 5))):
         i0, i1 = np.sort(rng.integers(0, n + 3, size=2))
@@ -119,8 +120,14 @@ def _random_mask(rng, n=10, M=16):
     if rng.random() < 0.5:
         supp[rng.integers(2, n, size=int(rng.integers(1, 3))), 0] = True
     free = ~supp
-    free[[0, -1], :] = False
+    if block_ends:
+        free[[0, -1], :] = False
     return SpaceTimeMask(free, supp, 0.5, 1.0, 1.0)
+
+
+def _level0_runs(mask):
+    """Number of free runs at level 0, read off the run graph."""
+    return mask.graph.level.count(0)
 
 
 def test_forward_paths_match_per_start_flood_on_random_masks():
@@ -137,15 +144,59 @@ def test_forward_paths_match_per_start_flood_on_random_masks():
         assert rep.failing_pair == pair
         assert rep.assumption_holds == (pair is None)
         starts = slices(mask, 0)
-        run_ids = mask.runs[0, starts]
-        several_runs += run_ids[-1] != run_ids[0]
+        several_runs += _level0_runs(mask) > 1
         if pair is None:
             end = (int(slices(mask, mask.n_levels - 1)[-1]), mask.n_levels - 1)
             assert validate_witness(mask, rep.witness, (int(starts[0]), 0), end)
         else:
             failed += 1
-            failed_after_first_run += mask.runs[0, pair[0][0]] != run_ids[0]
+            failed_after_first_run += pair[0][0] > mask.graph.last[0]
     assert several_runs >= 100 and failed >= 50 and failed_after_first_run >= 3
+
+
+def test_free_endpoint_nodes_match_per_start_flood():
+    """Masks built directly may leave the endpoint nodes free; a run must
+    never carry on from one level's last node into the next level's first."""
+    rng = np.random.default_rng(20261020)
+    wrapping = failed = 0
+    for _ in range(300):
+        mask = _random_mask(rng, block_ends=False)
+        free = mask.free
+        wrapping += bool((free[-1, :-1] & free[0, 1:]).any())
+        rep = check_assumption(mask)
+        assert rep.components == oracles.ndimage_component_count(free)
+        if not free.any(axis=0).all():
+            assert not rep.slices_nonempty and rep.failing_pair is None
+            continue
+        pair = oracles.first_unreachable_pair(mask)
+        assert rep.failing_pair == pair
+        failed += pair is not None
+        if pair is None:
+            assert rep.witness.cells == oracles.witness_walk(mask)
+    assert wrapping >= 100 and failed >= 50
+
+
+def test_witness_matches_cell_by_cell_walk_on_random_masks():
+    # node 5 of level 2 is 3 nodes from both level-1 runs: the lower one wins
+    free = np.zeros((11, 4), dtype=bool)
+    free[1:10, [0, 2]] = True
+    free[[1, 2, 8, 9], 1] = True
+    free[5, 3] = True
+    mask = SpaceTimeMask(free, ~free, 0.5, 1.0, 1.0)
+    tie = ((1, 0), (2, 0), (2, 1), (2, 2), (3, 2), (4, 2), (5, 2), (5, 3))
+    assert check_assumption(mask).witness.cells == oracles.witness_walk(mask) == tie
+
+    rng = np.random.default_rng(20261021)
+    held = 0
+    for _ in range(300):
+        mask = _random_mask(rng, n=int(rng.integers(3, 14)), M=int(rng.integers(1, 24)))
+        rep = check_assumption(mask)
+        if rep.assumption_holds:
+            held += 1
+            cells = oracles.witness_walk(mask)
+            assert rep.witness.cells == cells
+            assert validate_witness(mask, rep.witness, cells[0], cells[-1])
+    assert held >= 100
 
 
 def _three_run_mask():
@@ -161,7 +212,7 @@ def _three_run_mask():
 
 def test_second_level0_run_fails_at_its_first_node():
     mask = _three_run_mask()
-    assert np.unique(mask.runs[0, slices(mask, 0)]).size == 3
+    assert _level0_runs(mask) == 3
     rep = check_assumption(mask)
     assert rep.slices_nonempty and not rep.assumption_holds
     assert rep.failing_pair == ((5, 0), (1, 1))
@@ -169,25 +220,25 @@ def test_second_level0_run_fails_at_its_first_node():
 
 
 def test_one_reach_history_per_level0_run(monkeypatch):
-    calls = []
-    inner = admissibility._reach_history
+    starts = []
+    inner = admissibility._first_unreached
 
-    def counted(mask, y):
-        calls.append(y)
-        return inner(mask, y)
+    def counted(g, n0, s):
+        starts.append(g.first[s])
+        return inner(g, n0, s)
 
-    monkeypatch.setattr(admissibility, "_reach_history", counted)
+    monkeypatch.setattr(admissibility, "_first_unreached", counted)
     # du_peng at --refine 2: one level-0 run of 129 free nodes
     base = perevo.builtin_scenario("du_peng")
     spec = perevo.builtin_scenario("du_peng", n=2 * (base.grid.n + 1) - 1, M=2 * base.tgrid.M)
     mask = build_mask(spec.weight, spec.grid, spec.tgrid)
     assert slices(mask, 0).size == 129
     assert check_assumption(mask).assumption_holds
-    assert calls == [1]
+    assert starts == [1]
 
-    calls.clear()
+    starts.clear()
     check_assumption(_three_run_mask())
-    assert calls == [1, 5]
+    assert starts == [1, 5]
 
 
 def test_interior_slab_two_components():
