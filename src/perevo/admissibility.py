@@ -277,7 +277,13 @@ def check_assumption(mask: SpaceTimeMask) -> AdmissibilityReport:
     the first failing run, exactly as a scan over every start finds it, and
     the first node of the lowest-id unreached run is the first missed cell
     in level-then-node order.
+
+    A mask needs at least two levels (a lattice has M + 1 >= 3); with one,
+    no path leaves level 0, so DimensionMismatch is raised.
     """
+    if mask.n_levels < 2:
+        raise DimensionMismatch(
+            f"the path condition needs at least two levels, got {mask.n_levels}")
     regular = check_regular_support(mask)
     comp_count = components(mask)
     nonempty = bool(mask.free.any(axis=0).all())

@@ -16,7 +16,6 @@ checked by the same model functions as the builtins:
 
     du_peng(u_lo, u_hi, t_switch)
     counterexample(x0..x5, t0..t5)   twelve numbers, grid-snapped
-    separable(x1, x2, t1, t2)        alias for indicator_box
 """
 
 from __future__ import annotations
@@ -144,17 +143,18 @@ def _need_numbers(name, args, count):
 
 
 def _eval_expr(node, grid, tgrid, key, weight_ok):
-    """Turn a parsed expression into a lattice of samples."""
+    """Turn a parsed expression into a lattice of samples; a constant is a
+    read-only broadcast of its one value."""
     name, args = node
     T = tgrid.T
     if name == "const":
         (v,) = _need_numbers("const", args, 1)
-        return np.full((grid.n + 2, tgrid.M + 1), v)
+        return np.broadcast_to(np.float64(v), (grid.n + 2, tgrid.M + 1))
     if name == "sin_t":
         off, amp = _need_numbers("sin_t", args, 2)
         return model.sample_field(lambda x, t: off + amp * np.sin(2.0 * math.pi * t / T),
                                   grid, tgrid)
-    if name in ("indicator_box", "separable"):
+    if name == "indicator_box":
         return model.box_weight(grid, tgrid, *_need_numbers(name, args, 4))
     if name == "sum":
         if not args:
@@ -170,9 +170,11 @@ def _eval_expr(node, grid, tgrid, key, weight_ok):
 
 
 def _lattice(cp, section, key, grid, tgrid, default, weight_ok=False):
-    if not cp.has_option(section, key):
-        return np.full((grid.n + 2, tgrid.M + 1), float(default))
-    return _eval_expr(_parse_expr(cp.get(section, key)), grid, tgrid, key, weight_ok)
+    if cp.has_option(section, key):
+        node = _parse_expr(cp.get(section, key))
+    else:
+        node = ("const", [float(default)])
+    return _eval_expr(node, grid, tgrid, key, weight_ok)
 
 
 # ---------------------------------------------------------------------------

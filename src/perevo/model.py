@@ -109,21 +109,16 @@ class TimeGrid:
         return self.dt * (np.arange(self.M + 1) % self.M)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 def sample_field(fn, grid: Grid1D, tgrid: TimeGrid) -> np.ndarray:
     """Sample fn(x, t) on the full lattice with t reduced modulo the period.
 
-    fn must broadcast over numpy arrays; the result has shape (n+2, M+1).
+    fn must broadcast over numpy arrays; the result is a new C-ordered
+    (n+2, M+1) array.
     """
     x = grid.nodes()[:, None]
     t = tgrid.reduced_levels()[None, :]
     out = np.broadcast_to(np.asarray(fn(x, t), dtype=float), (grid.n + 2, tgrid.M + 1))
-    return np.array(out, dtype=float)
+    return np.array(out, dtype=float, order="C")
 
 
 def _locate(arr: np.ndarray, grid: Grid1D, tgrid: TimeGrid, idx) -> str:
@@ -140,6 +135,8 @@ class CoefficientField:
     All arrays have shape (n+2, M+1): rows are nodes including endpoints,
     columns are time levels 0..M with column M equal to column 0 by periodic
     reduction.  ``alpha`` is a certified lower bound for every D sample.
+    The arrays are read-only; a constant coefficient is a broadcast of its
+    one value (every stride 0), not a materialized copy.
     """
 
     D: np.ndarray
@@ -150,15 +147,21 @@ class CoefficientField:
 
 
 def _materialize(f, grid, tgrid) -> np.ndarray:
+    """Read-only (n+2, M+1) lattice of a callable's samples or a copy of an
+    array; a number, or an array that broadcasts one number (every stride 0),
+    becomes a broadcast of that number, stored once."""
     shape = (grid.n + 2, tgrid.M + 1)
     if callable(f):
-        return sample_field(f, grid, tgrid)
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return np.full(shape, float(arr))
-    if arr.shape != shape:
-        raise InvariantError(f"sample lattice has shape {arr.shape}, expected {shape}")
-    return arr.copy()
+        out = sample_field(f, grid, tgrid)
+    else:
+        arr = np.asarray(f, dtype=float)
+        if arr.ndim and arr.shape != shape:
+            raise InvariantError(f"sample lattice has shape {arr.shape}, expected {shape}")
+        if not any(arr.strides):
+            return np.broadcast_to(arr.flat[0], shape)
+        out = arr.copy()
+    out.flags.writeable = False
+    return out
 
 
 def make_coefficients(grid, tgrid, D, a=0.0, b=0.0, c0=0.0, alpha=None) -> CoefficientField:
@@ -188,7 +191,7 @@ def make_coefficients(grid, tgrid, D, a=0.0, b=0.0, c0=0.0, alpha=None) -> Coeff
         raise InvariantError(
             f"D sample {dmin:.6g} below alpha={alpha:.6g} at " + _locate(Dl, grid, tgrid, dmin_idx)
         )
-    return CoefficientField(_freeze(Dl), _freeze(al), _freeze(bl), _freeze(cl), float(alpha))
+    return CoefficientField(Dl, al, bl, cl, float(alpha))
 
 
 _BC_KINDS = ("dirichlet", "neumann", "robin", "mixed")
@@ -235,7 +238,8 @@ class WeightField:
     """Nonnegative penalty weight samples plus the support-detection cutoff.
 
     A lattice sample below ``delta`` counts as zero; at or above it the cell
-    belongs to the (discrete) support of the weight.
+    belongs to the (discrete) support of the weight.  ``values`` is read-only;
+    a constant weight is a broadcast of its one value, as in CoefficientField.
     """
 
     values: np.ndarray
@@ -261,7 +265,7 @@ def make_weight(grid, tgrid, m=0.0, delta=None) -> WeightField:
         raise InvariantError("support threshold delta must be strictly positive")
     if mx > 0 and delta > mx:
         raise InvariantError(f"delta={delta:.6g} exceeds the largest weight sample {mx:.6g}")
-    return WeightField(_freeze(vals), delta)
+    return WeightField(vals, delta)
 
 
 @dataclass(frozen=True)
@@ -288,8 +292,9 @@ class ProblemSpec:
 
         The field after M is the literal 1.0, the time stepper's theta when
         theta was a parameter; it stays so that digests keep their values.
-        Each lattice is hashed from its own buffer, which _freeze made
-        C-contiguous, so its bytes are those tobytes() would copy."""
+        Each lattice is hashed row by row, node 0 first, so a broadcast
+        constant and its materialized copy hash alike: the bytes are those
+        tobytes() would copy."""
         hsh = hashlib.sha256()
         head = (
             f"{self.grid.x_lo!r},{self.grid.x_hi!r},{self.grid.n},"
@@ -300,7 +305,8 @@ class ProblemSpec:
         )
         hsh.update(head.encode())
         for arr in (self.coeff.D, self.coeff.a, self.coeff.b, self.coeff.c0, self.weight.values):
-            hsh.update(arr.data)
+            for row in arr:
+                hsh.update(np.ascontiguousarray(row))
         return hsh.hexdigest()
 
 

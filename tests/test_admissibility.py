@@ -7,6 +7,7 @@ from perevo import admissibility
 from perevo.admissibility import (SpaceTimeMask, _opening, build_mask, check_assumption,
                                   check_regular_support, components, mask_text, slices,
                                   validate_witness)
+from perevo.errors import DimensionMismatch
 
 
 def _mask(mfun, n=10, M=12, T=1.0):
@@ -187,16 +188,29 @@ def test_witness_matches_cell_by_cell_walk_on_random_masks():
     assert check_assumption(mask).witness.cells == oracles.witness_walk(mask) == tie
 
     rng = np.random.default_rng(20261021)
-    held = 0
+    held = one_level = 0
     for _ in range(300):
-        mask = _random_mask(rng, n=int(rng.integers(3, 14)), M=int(rng.integers(1, 24)))
+        mask = _random_mask(rng, n=int(rng.integers(3, 14)), M=int(rng.integers(0, 24)))
+        if mask.n_levels == 1:
+            one_level += 1
+            with pytest.raises(DimensionMismatch):
+                check_assumption(mask)
+            continue
         rep = check_assumption(mask)
         if rep.assumption_holds:
             held += 1
             cells = oracles.witness_walk(mask)
             assert rep.witness.cells == cells
             assert validate_witness(mask, rep.witness, cells[0], cells[-1])
-    assert held >= 100
+    assert held >= 100 and one_level >= 5
+
+
+def test_one_level_mask_is_rejected():
+    # free nodes {1, 3} of 5 on one level: no witness can join them
+    free = np.zeros((5, 1), dtype=bool)
+    free[[1, 3], 0] = True
+    with pytest.raises(DimensionMismatch, match="two levels"):
+        check_assumption(SpaceTimeMask(free, ~free, 0.5, 1.0, 1.0))
 
 
 def _three_run_mask():

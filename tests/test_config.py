@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import perevo
+from perevo.cli import main
 from perevo.config import build_problem, parse_lambda_list
 from perevo.errors import BadScenarioParams, InvariantError, SchemaError
 
@@ -100,11 +101,10 @@ def test_builtin_weight_in_config():
     assert np.array_equal(spec.weight.values, ref.weight.values)
 
 
-# the model function behind each expression, on BASE's lattice; separable(...)
-# is the config alias of indicator_box(...), both built by model.box_weight
+# the model function behind each expression, on BASE's lattice
 _REFERENCE = {
     "du_peng": lambda **params: perevo.builtin_scenario("du_peng", n=16, M=32, **params),
-    "separable": lambda **params: perevo.model.box_weight(
+    "indicator_box": lambda **params: perevo.model.box_weight(
         perevo.Grid1D(0.0, 1.0, 16), perevo.TimeGrid(1.0, 32), **params),
 }
 
@@ -112,8 +112,8 @@ _REFERENCE = {
 @pytest.mark.parametrize("expr, name, params", [
     ("du_peng(0.6, 0.2, 0.5)", "du_peng", {"u_lo": 0.6, "u_hi": 0.2}),
     ("du_peng(0, 0.5, 0)", "du_peng", {"t_switch": 0.0}),
-    ("separable(0.5, 0.25, 0, 1)", "separable", dict(x1=0.5, x2=0.25, t1=0.0, t2=1.0)),
-    ("indicator_box(0, 1, 0.7, 0.2)", "separable", dict(x1=0.0, x2=1.0, t1=0.7, t2=0.2)),
+    ("indicator_box(0.5, 0.25, 0, 1)", "indicator_box", dict(x1=0.5, x2=0.25, t1=0.0, t2=1.0)),
+    ("indicator_box(0, 1, 0.7, 0.2)", "indicator_box", dict(x1=0.0, x2=1.0, t1=0.7, t2=0.2)),
 ])
 def test_config_weight_checks_match_the_builtin(expr, name, params):
     with pytest.raises(BadScenarioParams) as from_builtin:
@@ -121,6 +121,17 @@ def test_config_weight_checks_match_the_builtin(expr, name, params):
     with pytest.raises(BadScenarioParams) as from_config:
         build_problem(BASE.replace("weight = 0.0", f"weight = {expr}"))
     assert str(from_config.value) == str(from_builtin.value)
+
+
+def test_separable_is_not_an_expression(tmp_path, capsys):
+    # indicator_box(...) is the one name of a box
+    doc = BASE.replace("weight = 0.0", "weight = separable(0, 0.5, 0, 1)")
+    with pytest.raises(SchemaError, match="unknown expression 'separable'"):
+        build_problem(doc)
+    path = tmp_path / "sep.cfg"
+    path.write_text(doc)
+    assert main(["check", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "unknown expression 'separable'" in capsys.readouterr().err
 
 
 def test_limit_section_is_unknown():

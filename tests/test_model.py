@@ -1,12 +1,16 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import perevo
+from perevo.admissibility import build_mask, mask_text
 from perevo.cli import main
 from perevo.errors import BadScenarioParams, InvariantError, SchemaError
+from perevo.evolve import level_runs, prepare
+from perevo.spectral import monodromy
 
 HALF_THETA = """
 [grid]
@@ -227,6 +231,107 @@ def test_digest_deterministic_and_sensitive():
 ])
 def test_builtin_digests_at_default_lattice(name, digest):
     assert perevo.builtin_scenario(name).digest() == digest
+
+
+# the refined lattices `perevo check --refine` builds: du_peng at K = 2 and
+# counterexample at K = 4
+@pytest.mark.parametrize("name, n, M, digest", [
+    ("du_peng", 129, 1024, "f29b3be81bd068f095d0a636fc5d90b4a6c4e8fadd43b3a3f544555d23bcf3bb"),
+    ("counterexample", 243, 2400, "0987fb353773072a8641b274af1566d2e6b15095a7c5ffb0bfc8e7ea09e260ad"),
+])
+def test_builtin_digests_at_refined_lattices(name, n, M, digest):
+    assert perevo.builtin_scenario(name, n=n, M=M).digest() == digest
+
+
+CONSTANTS_DOC = """
+[grid]
+x_lo = 0.0
+x_hi = 1.0
+n = 24
+
+[time]
+T = 1.0
+M = 40
+
+[coefficients]
+D = sin_t(1.0, 0.25)
+a = const(0.5)
+c0 = 2
+
+[boundary]
+bc = robin
+b0_left = 0.5
+b0_right = 1.0
+
+[weight]
+weight = indicator_box(0.2, 0.6, 0.25, 0.75)
+"""
+
+
+def _with_full_arrays(spec, D, a, b, c0, m):
+    """spec's problem rebuilt from the given lattices, each an explicit
+    (n+2, M+1) array: a number v stands for np.full(shape, v)."""
+    g, t = spec.grid, spec.tgrid
+
+    def lattice(v):
+        return np.full((g.n + 2, t.M + 1), v) if np.ndim(v) == 0 else np.array(v)
+
+    coeff = perevo.make_coefficients(g, t, lattice(D), lattice(a), lattice(b), lattice(c0))
+    return perevo.make_problem(g, t, coeff, spec.bc, perevo.make_weight(g, t, lattice(m)))
+
+
+def _equivalent_pairs():
+    heat = perevo.builtin_scenario("heat_baseline")
+    yield heat, _with_full_arrays(heat, 1.0, 0.0, 0.0, 0.0, 0.0), 5
+    for name in ("du_peng", "counterexample"):
+        spec = perevo.builtin_scenario(name)
+        yield spec, _with_full_arrays(spec, 1.0, 0.0, 0.0, 0.0, spec.weight.values), 4
+    doc = perevo.build_problem(CONSTANTS_DOC)  # b is omitted: the constant 0
+    yield doc, _with_full_arrays(doc, doc.coeff.D, 0.5, 0.0, 2.0, doc.weight.values), 3
+
+
+def test_constant_lattices_are_broadcasts_that_compute_like_full_arrays():
+    for spec, full, constants in _equivalent_pairs():
+        lattices = (spec.coeff.D, spec.coeff.a, spec.coeff.b, spec.coeff.c0, spec.weight.values)
+        assert sum(not any(arr.strides) for arr in lattices) == constants
+        assert not any(arr.flags.writeable for arr in lattices)
+        assert spec.digest() == full.digest()
+        assert np.array_equal(level_runs(spec), level_runs(full))
+        F, G = prepare(spec, 10.0), prepare(full, 10.0)
+        for mine, theirs in ((F.rows, G.rows), (F.steps, G.steps)):
+            assert len(mine) == len(theirs)
+            for x, y in zip(mine, theirs):
+                assert all(u.tobytes() == v.tobytes() for u, v in zip(x, y))
+        assert monodromy(F).P.tobytes() == monodromy(G).P.tobytes()
+        assert mask_text(build_mask(spec.weight, spec.grid, spec.tgrid)) == \
+            mask_text(build_mask(full.weight, full.grid, full.tgrid))
+
+
+def test_a_broadcast_argument_is_stored_as_one_value():
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 6), perevo.TimeGrid(1.0, 8)
+    mine = np.array(2.0)
+    coeff = perevo.make_coefficients(grid, tgrid, np.broadcast_to(mine, (8, 9)), c0=-0.0)
+    mine[...] = 3.0  # the lattice keeps the value it was given
+    assert coeff.D.strides == (0, 0) and np.all(coeff.D == 2.0)
+    assert np.signbit(coeff.c0).all()
+    with pytest.raises(InvariantError, match="shape"):
+        perevo.make_coefficients(grid, tgrid, np.broadcast_to(1.0, (8, 8)))
+
+
+def test_counterexample_at_refine_4_builds_in_bounded_memory():
+    # n = 243, M = 2400 is `check counterexample --refine 4`; one lattice is
+    # 4.7 MB.  Measured with tracemalloc: 14.1 MB peak and 4.7 MB kept with
+    # the constants stored as broadcasts; 28.8 MB and 23.5 MB with all five
+    # lattices materialized
+    perevo.builtin_scenario("counterexample", n=20, M=40)
+    tracemalloc.start()
+    try:
+        spec = perevo.builtin_scenario("counterexample", n=243, M=2400)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.coeff.D.shape == (245, 2401)
+    assert peak < 20e6 and kept < 8e6
 
 
 def test_builtin_rejects_a_keyword_it_does_not_take():

@@ -148,7 +148,7 @@ def test_scalar_problem_single_node(n):
     assert np.allclose(P.P, ref, atol=1e-13)
 
 
-@pytest.mark.xfail(strict=True, reason="underflow reported as nilpotent (ROADMAP item 2)")
+@pytest.mark.xfail(strict=True, reason="underflow reported as nilpotent (ROADMAP item 3)")
 @pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
 def test_constant_penalty_closed_form_at_large_penalties(lam):
     # the C02 problem: m = 1 on (0, pi), n = 128, M = 512; the period map is
