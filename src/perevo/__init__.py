@@ -9,7 +9,7 @@ from .model import (Grid1D, TimeGrid, CoefficientField, BoundarySpec, WeightFiel
                     make_problem, sample_sup_norms, coercivity_shift)
 from .config import build_problem, parse_lambda_list
 from .operator import assemble_A, mesh_peclet_ok, garding_audit
-from .evolve import (StepFactorization, Trajectory, EnergyReport, ForcingField,
+from .evolve import (StepFactorization, EnergyReport, ForcingField,
                      prepare, evolve_state, mild_solution, energy_report,
                      discrete_v_norm_sq)
 from .kernel import (KernelMatrix, GaussianFit, kernel_matrix, check_monotone_in_lambda,

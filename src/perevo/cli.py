@@ -6,15 +6,14 @@ eigen TARGET --lambda L      principal eigenpair at one penalty
 sweep TARGET --lambdas LIST  penalty sweep with convergence report
 kernel TARGET --lambda L --s S --t T   kernel dump plus Gaussian envelope
 check TARGET                 vanishing-set admissibility report and mask grid
-demo NAME                    canned end-to-end run of one builtin scenario
 
 TARGET is a builtin scenario name (heat_baseline, du_peng, counterexample)
 or a path to a config document; a builtin name wins, so ./NAME reaches a file
 named like one.
-Outputs land in --out (default ./perevo_out); the PEREVO_OUT environment
-variable overrides --out.  Every run writes a run_manifest.json with a stable
-digest of the resolved problem; eigen, sweep and kernel add factored_steps,
-the number of distinct step matrices factored at each penalty.
+Outputs land in --out (default ./perevo_out).  Every run writes a
+run_manifest.json with a stable digest of the resolved problem; eigen, sweep
+and kernel add factored_steps, the number of distinct step matrices factored
+at each penalty.  The scripts in demos/ tell each scenario's story end to end.
 
 Exit codes: 0 success / assumption holds; 2 bad config or arguments, or a
 sweep in which no penalty gave a valid row; 3 trivial limit (no eigenpair);
@@ -35,7 +34,7 @@ from .admissibility import build_mask, check_assumption, mask_text
 from .config import build_problem, parse_lambda_list
 from .errors import (InsufficientData, NoConvergence, PerevoError, SchemaError, SingularStep,
                      TrivialLimitComparison)
-from .evolve import column_workers, distinct_steps, prepare, trajectory_rows, Trajectory
+from .evolve import column_workers, distinct_steps, prepare, trajectory_rows
 from .kernel import envelope_violation, fit_gaussian, kernel_matrix, check_monotone_in_lambda
 from .limitflow import (classify_divergent, compare_to_limit, limit_monodromy, sweep,
                         vanishing_rate)
@@ -56,7 +55,7 @@ def _resolve(target: str, **lattice):
 
 
 def _outdir(args) -> str:
-    out = os.environ.get("PEREVO_OUT") or args.out or "perevo_out"
+    out = args.out or "perevo_out"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -74,11 +73,6 @@ def _manifest(outdir, command, label, spec: ProblemSpec, outputs, t0, factored_s
     if factored_steps is not None:
         record["factored_steps"] = factored_steps
     iofmt.write_json(os.path.join(outdir, "run_manifest.json"), record)
-
-
-def _eigenfunction_csv(path, eig_samples, spec):
-    traj = Trajectory(eig_samples, 0.0)
-    iofmt.write_csv(path, ["t", "x", "u"], trajectory_rows(traj, spec))
 
 
 def _audit(spec):
@@ -119,7 +113,8 @@ def cmd_eigen(args) -> int:
         code = 3
     else:
         eig = periodic_eigenfunction(F, res)
-        _eigenfunction_csv(os.path.join(outdir, "eigenfunction.csv"), eig.samples, spec)
+        iofmt.write_csv(os.path.join(outdir, "eigenfunction.csv"), ["t", "x", "u"],
+                        trajectory_rows(eig.samples, spec))
         outputs.append("eigenfunction.csv")
         print(f"lambda={res.lam:g}  r={res.r:.12g}  mu={res.mu:.12g}  "
               f"residual={res.residual:.3e}  iterations={res.iterations}")
@@ -285,24 +280,9 @@ def cmd_check(args) -> int:
     return 0
 
 
-def cmd_demo(args) -> int:
-    name = args.name
-    argv_base = ["--out", args.out] if args.out else []
-    if name == "heat_baseline":
-        rc = main(["eigen", name, "--lambda", "0"] + argv_base)
-        rc |= main(["kernel", name, "--lambda", "0", "--s", "0", "--t", "0.05"] + argv_base)
-        return rc
-    if name in ("du_peng", "counterexample"):
-        rc_check = main(["check", name] + argv_base)
-        rc_sweep = main(["sweep", name, "--lambdas", "0,1:1e4:x10", "--eps", "0.5"] + argv_base)
-        print(f"check exit={rc_check} sweep exit={rc_sweep}")
-        return rc_sweep
-    raise SchemaError(f"no demo for {name!r}")
-
-
 def _add_common(p):
     p.add_argument("target", help="builtin scenario name or config path")
-    p.add_argument("--out", help="output directory (default perevo_out; PEREVO_OUT wins)")
+    p.add_argument("--out", help="output directory (default perevo_out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,11 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--refine", type=int, default=1,
                    help="rebuild the target on a K-times finer lattice (K >= 1)")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("demo", help="canned end-to-end run")
-    p.add_argument("name", choices=("heat_baseline", "du_peng", "counterexample"))
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_demo)
     return ap
 
 

@@ -1,10 +1,11 @@
 """Plain-text configuration documents.
 
-A document is INI-style: sections [grid], [time], [coefficients], [boundary],
-[weight] and [scheme].  The weight is the only description of the vanishing
-set: the hard-wall limit is posed on its free set.  [scheme] theta, when
-given, must be 1: the time stepper is fully implicit.  Coefficient and
-weight values are either bare numbers or calls from a small fixed catalog:
+A document is INI-style: sections [grid], [time], [coefficients], [boundary]
+and [weight]; any other section or key exits 2.  The weight is the only
+description of the vanishing set: the hard-wall limit is posed on its free
+set.  The time stepper is always fully implicit and has no setting.
+Coefficient and weight values are either bare numbers or calls from a small
+fixed catalog:
 
     const(v)                         constant v
     sin_t(offset, amplitude)         offset + amplitude * sin(2 pi t / T)
@@ -37,7 +38,6 @@ _SCHEMA = {
     "coefficients": {"D", "a", "b", "c0", "alpha"},
     "boundary": {"bc", "b0_left", "b0_right", "bc_left", "bc_right"},
     "weight": {"weight", "delta"},
-    "scheme": {"theta"},
 }
 _REQUIRED = {("grid", "x_lo"), ("grid", "x_hi"), ("grid", "n"),
              ("time", "T"), ("time", "M"),
@@ -190,9 +190,6 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     """
     cp = _read(text_or_path)
     _validate_keys(cp)
-    theta = _number(cp, "scheme", "theta", 1.0)
-    if theta != 1.0:
-        raise SchemaError(f"[scheme] theta must be 1 (the fully implicit stepper), got {theta!r}")
 
     grid = model.Grid1D(_number(cp, "grid", "x_lo"), _number(cp, "grid", "x_hi"),
                         _number(cp, "grid", "n", cast=int) if n is None else n)

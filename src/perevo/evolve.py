@@ -56,7 +56,6 @@ from .operator import mesh_peclet_ok, stencil_bands
 
 __all__ = [
     "StepFactorization",
-    "Trajectory",
     "EnergyReport",
     "ForcingField",
     "prepare",
@@ -308,17 +307,6 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
     return w
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """States u^0..u^M stacked as rows of an (M+1, n) array, row j at level j."""
-
-    states: np.ndarray
-    lam: float
-
-    def at_level(self, j: int) -> np.ndarray:
-        return self.states[j]
-
-
 def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | None = None):
     """Yield the states of one vector w at levels 0..M, w itself first.
 
@@ -336,16 +324,17 @@ def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | Non
 
 
 def mild_solution(F: StepFactorization, u0: np.ndarray,
-                  forcing: ForcingField | None = None) -> Trajectory:
+                  forcing: ForcingField | None = None) -> np.ndarray:
     """Solve the forced problem forward from u0 at level 0 over one period.
 
-    The result equals the homogeneous evolution plus the discrete
+    Returns the states u^0..u^M as the rows of an (M+1, n) array, row j at
+    level j.  They equal the homogeneous evolution plus the discrete
     variation-of-constants sum of the per-step solves.
     """
     w = _check_state(F, u0)
     if w.ndim != 1:
         raise DimensionMismatch("mild_solution expects a single state vector")
-    return Trajectory(np.array(list(iter_states(F, w, forcing))), F.lam)
+    return np.array(list(iter_states(F, w, forcing)))
 
 
 def discrete_v_norm_sq(spec: ProblemSpec, u: np.ndarray) -> float:
@@ -382,9 +371,10 @@ class EnergyReport:
     ratio: float
 
 
-def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField | None,
+def energy_report(F: StepFactorization, states: np.ndarray, forcing: ForcingField | None,
                   gamma: float) -> EnergyReport:
-    """Trapezoidal surrogate of the weighted energy balance over the trajectory.
+    """Trapezoidal surrogate of the weighted energy balance over the states
+    (rows u^0..u^J, as mild_solution returns them).
 
     lhs collects the final half-energy, the accumulated graph norm scaled by
     alpha/4, and the penalty dissipation; rhs holds the amplified initial
@@ -397,7 +387,7 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     if gamma < gamma0 - 1e-12:
         raise InvariantError(f"gamma={gamma} below the coercivity shift {gamma0}")
     h, dt = spec.grid.h, F.tgrid.dt
-    J = traj.states.shape[0] - 1
+    J = states.shape[0] - 1
     tJ = J * dt
     levels = np.arange(J + 1)
     wq = np.full(levels.shape, dt)
@@ -405,17 +395,17 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     wq[-1] *= 0.5
     amp = np.exp(2.0 * gamma * (tJ - levels * dt))
 
-    uT = traj.states[-1]
+    uT = states[-1]
     lhs = 0.5 * h * float(uT @ uT)
     alpha = spec.coeff.alpha
-    vnorms = np.array([discrete_v_norm_sq(spec, u) for u in traj.states])
+    vnorms = np.array([discrete_v_norm_sq(spec, u) for u in states])
     lhs += 0.25 * alpha * float(np.sum(wq * amp * vnorms))
     if F.lam > 0:
         m = spec.weight.values[1:-1]
-        pen = np.array([h * float(np.sum(m[:, j] * u ** 2)) for j, u in enumerate(traj.states)])
+        pen = np.array([h * float(np.sum(m[:, j] * u ** 2)) for j, u in enumerate(states)])
         lhs += F.lam * float(np.sum(wq * amp * pen))
 
-    u0 = traj.states[0]
+    u0 = states[0]
     rhs = 0.5 * math.exp(2.0 * gamma * tJ) * h * float(u0 @ u0)
     if forcing is not None:
         fn = np.array([h * float(np.sum(forcing.values[1:-1, j] ** 2)) for j in levels])
@@ -425,10 +415,11 @@ def energy_report(F: StepFactorization, traj: Trajectory, forcing: ForcingField 
     return EnergyReport(lhs, rhs, float(gamma), ratio)
 
 
-def trajectory_rows(traj: Trajectory, spec: ProblemSpec):
-    """Yield (t, x, u) rows over interior nodes in long format."""
+def trajectory_rows(states: np.ndarray, spec: ProblemSpec):
+    """Yield (t, x, u) rows over interior nodes in long format, from states
+    stacked as rows, row j at level j."""
     xs = spec.grid.interior()
     dt = spec.tgrid.dt
-    for j, state in enumerate(traj.states):
+    for j, state in enumerate(states):
         for x, u in zip(xs, state):
             yield j * dt, x, u

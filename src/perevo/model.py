@@ -128,6 +128,13 @@ def _locate(arr: np.ndarray, grid: Grid1D, tgrid: TimeGrid, idx) -> str:
     return f"(x={x:.6g}, t={t:.6g}) [node {i}, level {j}]"
 
 
+def _min_cell(arr: np.ndarray, grid: Grid1D, tgrid: TimeGrid):
+    """The first smallest sample of a lattice and where it sits.  argmin
+    copies the lattice, so only a failing check calls this."""
+    idx = np.unravel_index(int(np.argmin(arr)), arr.shape)
+    return float(arr[idx]), _locate(arr, grid, tgrid, idx)
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """Lattice samples of the four coefficients plus the ellipticity floor.
@@ -178,19 +185,15 @@ def make_coefficients(grid, tgrid, D, a=0.0, b=0.0, c0=0.0, alpha=None) -> Coeff
         if not np.all(np.isfinite(arr)):
             idx = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
             raise InvariantError(f"coefficient {name} is not finite at {_locate(arr, grid, tgrid, idx)}")
-    dmin_idx = np.unravel_index(int(np.argmin(Dl)), Dl.shape)
-    dmin = float(Dl[dmin_idx])
+    dmin = float(Dl.min())
     if alpha is None:
         alpha = dmin
     if not alpha > 0:
-        raise InvariantError(
-            f"ellipticity floor must be positive; D attains {dmin:.6g} at "
-            + _locate(Dl, grid, tgrid, dmin_idx)
-        )
+        dmin, where = _min_cell(Dl, grid, tgrid)
+        raise InvariantError(f"ellipticity floor must be positive; D attains {dmin:.6g} at {where}")
     if dmin < alpha:
-        raise InvariantError(
-            f"D sample {dmin:.6g} below alpha={alpha:.6g} at " + _locate(Dl, grid, tgrid, dmin_idx)
-        )
+        dmin, where = _min_cell(Dl, grid, tgrid)
+        raise InvariantError(f"D sample {dmin:.6g} below alpha={alpha:.6g} at {where}")
     return CoefficientField(Dl, al, bl, cl, float(alpha))
 
 
@@ -251,12 +254,9 @@ def make_weight(grid, tgrid, m=0.0, delta=None) -> WeightField:
     if not np.all(np.isfinite(vals)):
         idx = np.unravel_index(int(np.argmin(np.isfinite(vals))), vals.shape)
         raise InvariantError(f"weight is not finite at {_locate(vals, grid, tgrid, idx)}")
-    mn_idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    if vals[mn_idx] < 0:
-        raise InvariantError(
-            f"weight sample {float(vals[mn_idx]):.6g} is negative at "
-            + _locate(vals, grid, tgrid, mn_idx)
-        )
+    if vals.min() < 0:
+        mn, where = _min_cell(vals, grid, tgrid)
+        raise InvariantError(f"weight sample {mn:.6g} is negative at {where}")
     mx = float(vals.max()) if vals.size else 0.0
     if delta is None:
         delta = max(SUPPORT_THRESHOLD_REL * mx, SUPPORT_THRESHOLD_FLOOR)
@@ -315,10 +315,13 @@ def make_problem(grid, tgrid, coeff, bc, weight) -> ProblemSpec:
 
 
 def sample_sup_norms(coeff: CoefficientField):
-    """Lattice sup norms (max |a|, max |b|, max of the negative part of c0)."""
-    a_sup = float(np.abs(coeff.a).max())
-    b_sup = float(np.abs(coeff.b).max())
-    c0_minus = float(np.maximum(-coeff.c0, 0.0).max())
+    """Lattice sup norms (max |a|, max |b|, max of the negative part of c0).
+
+    Each is read off the lattice's min and max, with no temporary lattice;
+    the leading 0.0 wins ties, so a zero norm is +0.0."""
+    a_sup = max(0.0, float(coeff.a.max()), -float(coeff.a.min()))
+    b_sup = max(0.0, float(coeff.b.max()), -float(coeff.b.min()))
+    c0_minus = max(0.0, -float(coeff.c0.min()))
     return a_sup, b_sup, c0_minus
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DimensionMismatch
-from .model import ProblemSpec, coercivity_shift
+from .model import ProblemSpec, coercivity_shift, sample_sup_norms
 
 __all__ = [
     "stencil_bands",
@@ -78,7 +78,8 @@ def assemble_A(spec: ProblemSpec, j: int):
 
 def mesh_peclet_ok(spec: ProblemSpec) -> bool:
     """max(|a|, |b|) * h <= 2 alpha on the lattice."""
-    drift = max(float(np.abs(spec.coeff.a).max()), float(np.abs(spec.coeff.b).max()))
+    a_sup, b_sup, _ = sample_sup_norms(spec.coeff)
+    drift = max(a_sup, b_sup)
     return drift * spec.grid.h <= 2.0 * spec.coeff.alpha
 
 

@@ -97,31 +97,21 @@ def eigengap(P: MonodromyMatrix) -> float:
     return float(mags[-1] - mags[-2])
 
 
-def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    start: np.ndarray | None = None) -> SpectralResult:
+def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Power iteration from the all-ones vector, h-weighted l2 normalization.
 
     Stops when the residual |P w - r w| drops below tol * r; raises
     NoConvergence at the iteration cap (a symptom of a vanishing gap).  The
-    returned pair is re-verified outside the loop.  A given start must be a
-    finite vector of length n whose h-weighted norm is neither 0 nor inf.
+    returned pair is re-verified outside the loop.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     A, h, T = P.P, P.h, P.period
-    n = P.n
-    w = np.ones(n) if start is None else np.asarray(start, dtype=float).copy()
-    if w.shape != (n,):
-        raise ValueError(f"start must have shape ({n},), got {w.shape}")
-    if not np.isfinite(w).all():
-        raise ValueError("start must be finite")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        norm = _l2h(w, h)
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"start must have a nonzero, finite norm, got {norm}")
-    w /= norm
+    w = np.ones(P.n)
+    w /= _l2h(w, h)
 
     iterations = 0
     converged = False

@@ -100,17 +100,16 @@ def test_seed_and_config_options_exit_2(tmp_path, capsys):
     # the target is the one way to name a problem, and nothing is seeded
     out = ["--out", str(tmp_path / "o")]
     for argv in (["eigen", "du_peng"], ["sweep", "du_peng"], ["check", "du_peng"],
-                 ["kernel", "du_peng", "--s", "0", "--t", "0.5"], ["demo", "du_peng"]):
+                 ["kernel", "du_peng", "--s", "0", "--t", "0.5"]):
         for option in ("--seed", "--config"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, option, "1", *out])
             assert exc.value.code == 2
             assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
-        if argv[0] != "demo":
-            with pytest.raises(SystemExit) as exc:
-                main([argv[0], *argv[2:], *out])
-            assert exc.value.code == 2
-            assert "required: target" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *argv[2:], *out])
+        assert exc.value.code == 2
+        assert "required: target" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -283,7 +282,7 @@ def test_check_leaves_scipy_ndimage_unimported(tmp_path):
             "assert cli.main(['check', 'counterexample', '--out', sys.argv[1]]) == 6\n"
             "assert 'scipy.ndimage' not in sys.modules, 'after perevo check'\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(perevo.__file__)))
-    env = {k: v for k, v in os.environ.items() if k != "PEREVO_OUT"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -300,13 +299,13 @@ def test_outputs_byte_identical_across_runs(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_env_var_overrides_out(tmp_path, monkeypatch):
+def test_out_alone_chooses_the_output_directory(tmp_path, monkeypatch):
+    # PEREVO_OUT once overrode --out; no environment variable is read now
     env_dir = tmp_path / "env_out"
     monkeypatch.setenv("PEREVO_OUT", str(env_dir))
-    rc = main(["check", "du_peng", "--out", str(tmp_path / "flag_out")])
-    assert rc == 0
-    assert (env_dir / "mask.txt").exists()
-    assert not (tmp_path / "flag_out").exists()
+    assert main(["check", "du_peng", "--out", str(tmp_path / "flag_out")]) == 0
+    assert (tmp_path / "flag_out" / "mask.txt").exists()
+    assert not env_dir.exists()
 
 
 def test_sweep_reports_the_limit_of_every_weight(tmp_path):
@@ -357,9 +356,13 @@ def test_config_weight_parameters_are_checked(tmp_path, capsys):
     assert not (tmp_path / "sw" / "sweep.csv").exists()
 
 
-def test_demo_heat_baseline(tmp_path):
-    assert main(["demo", "heat_baseline", "--out", str(tmp_path / "demo")]) == 0
-    assert (tmp_path / "demo" / "gaussian_fit.json").exists()
+def test_demo_subcommand_is_gone(tmp_path, capsys):
+    # the scripts in demos/ tell each scenario's story (tests/test_demos.py)
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "du_peng", "--out", str(tmp_path / "demo")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "demo").exists()
 
 
 def test_manifest_records_factored_steps(tmp_path):

@@ -43,8 +43,8 @@ def test_identical_documents_identical_lattices():
 
 def test_unknown_key_rejected():
     with pytest.raises(SchemaError) as err:
-        build_problem(BASE + "\n[scheme]\nthetta = 1\n")
-    assert "thetta" in str(err.value)
+        build_problem(BASE + "thetta = 1\n")
+    assert "unknown key 'thetta' in [weight]" in str(err.value)
 
 
 def test_unknown_section_rejected():

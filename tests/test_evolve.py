@@ -326,7 +326,7 @@ def test_mild_solution_against_dense_spacetime(heat_unit):
     f = ForcingField.constant(1.0, heat_unit.grid, heat_unit.tgrid)
     traj = mild_solution(F, np.zeros(n), f)
     ref = oracles.dense_spacetime_trajectory(F, np.zeros(n), f.values)
-    worst = max(np.abs(ref[j] - traj.states[j]).max() for j in range(len(ref)))
+    worst = max(np.abs(ref[j] - traj[j]).max() for j in range(len(ref)))
     assert worst <= 1e-12
 
 
@@ -336,7 +336,7 @@ def test_mild_solution_unforced_matches_evolve(heat_unit):
     u0 = rng.standard_normal(heat_unit.grid.n)
     traj = mild_solution(F, u0, None)
     for j in (0, 10, heat_unit.tgrid.M):
-        assert np.array_equal(traj.at_level(j), evolve_state(F, u0, 0, j))
+        assert np.array_equal(traj[j], evolve_state(F, u0, 0, j))
 
 
 def test_duhamel_reconstruction(heat_unit):
@@ -351,7 +351,7 @@ def test_duhamel_reconstruction(heat_unit):
         contrib = evolve_state(F, tg.dt * f.values[1:-1, k + 1], k, k + 1)
         voc += evolve_state(F, contrib, k + 1, tg.M)
     ref = hom + voc
-    assert np.abs(traj.states[-1] - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1e-30)
+    assert np.abs(traj[-1] - ref).max() <= 1e-10 * max(np.abs(ref).max(), 1e-30)
 
 
 def test_forced_positive_trajectory(du_peng_small):
@@ -359,7 +359,7 @@ def test_forced_positive_trajectory(du_peng_small):
     g, tg = du_peng_small.grid, du_peng_small.tgrid
     f = ForcingField.constant(0.5, g, tg)
     traj = mild_solution(F, np.ones(g.n), f)
-    assert traj.states.min() >= 0.0
+    assert traj.min() >= 0.0
 
 
 def test_energy_zero_data_gives_zero_ratio(heat_small):

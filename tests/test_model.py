@@ -12,7 +12,7 @@ from perevo.errors import BadScenarioParams, InvariantError, SchemaError
 from perevo.evolve import level_runs, prepare
 from perevo.spectral import monodromy
 
-HALF_THETA = """
+SCHEME_DOC = """
 [grid]
 x_lo = 0.0
 x_hi = 1.0
@@ -123,6 +123,48 @@ def test_sup_norms_and_coercivity_shift():
     assert perevo.coercivity_shift(c3) == pytest.approx(2.0)
 
 
+def test_sup_norms_match_the_abs_formulas_bit_for_bit():
+    # min and max give the bits np.abs(x).max() and np.maximum(-c0, 0).max()
+    # give, signed zeros and broadcasts included
+    rng = np.random.default_rng(22)
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 5), perevo.TimeGrid(1.0, 6)
+    shape = (grid.n + 2, tgrid.M + 1)
+
+    def lattice():
+        kind = rng.integers(4)
+        if kind == 0:
+            return rng.choice([0.0, -0.0, 1.5, -2.5])  # stored as a broadcast
+        if kind == 1:
+            return rng.choice([0.0, -0.0], size=shape)
+        x = rng.standard_normal(shape)
+        return -np.abs(x) if kind == 2 else x
+
+    for _ in range(300):
+        c = perevo.make_coefficients(grid, tgrid, 1.0, a=lattice(), b=lattice(), c0=lattice())
+        got = perevo.sample_sup_norms(c)
+        want = (float(np.abs(c.a).max()), float(np.abs(c.b).max()),
+                float(np.maximum(-c.c0, 0.0).max()))
+        assert [np.float64(v).tobytes() for v in got] == [np.float64(v).tobytes() for v in want]
+
+
+def test_sup_norms_and_peclet_check_allocate_no_lattice():
+    # at `check counterexample --refine 4` size a lattice is 4.7 MB; the abs
+    # formulas allocated 9.4 MB of temporaries here
+    spec = perevo.builtin_scenario("counterexample", n=243, M=2400)
+    coeff = perevo.make_coefficients(spec.grid, spec.tgrid, 1.0, a=np.full(spec.coeff.a.shape, -0.5),
+                                     b=0.25, c0=np.full(spec.coeff.c0.shape, -1.0))
+    spec = perevo.make_problem(spec.grid, spec.tgrid, coeff, spec.bc, spec.weight)
+    tracemalloc.start()
+    try:
+        norms = perevo.sample_sup_norms(coeff)
+        peclet = perevo.mesh_peclet_ok(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms == (0.5, 0.25, 1.0) and peclet
+    assert peak < 0.1e6
+
+
 def test_coercivity_shift_nonnegative_random():
     rng = np.random.default_rng(7)
     grid = perevo.Grid1D(0.0, 1.0, 6)
@@ -154,13 +196,15 @@ def test_theta_range_enforced(tmp_path, capsys):
         with pytest.raises(TypeError, match="theta"):
             perevo.builtin_scenario(name, n=8, M=8, theta=0.5)
     assert "theta" not in inspect.signature(perevo.make_problem).parameters
-    doc = tmp_path / "half.cfg"
-    doc.write_text(HALF_THETA)
-    with pytest.raises(SchemaError, match="theta"):
-        perevo.build_problem(str(doc))
-    assert perevo.build_problem(HALF_THETA.replace("theta = 0.5", "theta = 1.0")).grid.n == 8
-    assert main(["eigen", str(doc), "--out", str(tmp_path / "o")]) == 2
-    assert "theta" in capsys.readouterr().err
+    # [scheme] is no section of a document, not even with theta = 1
+    for theta in ("0.5", "1.0"):
+        doc = tmp_path / f"theta_{theta}.cfg"
+        doc.write_text(SCHEME_DOC.replace("theta = 0.5", f"theta = {theta}"))
+        with pytest.raises(SchemaError, match=r"unknown section \[scheme\]"):
+            perevo.build_problem(str(doc))
+        assert main(["eigen", str(doc), "--out", str(tmp_path / "o")]) == 2
+        assert "unknown section [scheme]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_du_peng_weight_layout():
@@ -320,9 +364,10 @@ def test_a_broadcast_argument_is_stored_as_one_value():
 
 def test_counterexample_at_refine_4_builds_in_bounded_memory():
     # n = 243, M = 2400 is `check counterexample --refine 4`; one lattice is
-    # 4.7 MB.  Measured with tracemalloc: 14.1 MB peak and 4.7 MB kept with
-    # the constants stored as broadcasts; 28.8 MB and 23.5 MB with all five
-    # lattices materialized
+    # 4.7 MB.  Measured with tracemalloc: 10.0 MB peak and 4.7 MB kept with
+    # the constants stored as broadcasts and no argmin on the success path
+    # (argmin copies its lattice: 14.1 MB peak with it); 28.8 MB and 23.5 MB
+    # with all five lattices materialized
     perevo.builtin_scenario("counterexample", n=20, M=40)
     tracemalloc.start()
     try:
@@ -331,7 +376,7 @@ def test_counterexample_at_refine_4_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert spec.coeff.D.shape == (245, 2401)
-    assert peak < 20e6 and kept < 8e6
+    assert peak < 11e6 and kept < 8e6
 
 
 def test_builtin_rejects_a_keyword_it_does_not_take():

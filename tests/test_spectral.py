@@ -44,17 +44,6 @@ def test_no_convergence_raises():
         spectral_radius(_mat(P), max_iter=100)
 
 
-def test_scale_invariance_of_start():
-    # the first normalization absorbs the scale; results agree to rounding
-    rng = np.random.default_rng(8)
-    P = _mat(rng.random((12, 12)))
-    base = spectral_radius(P)
-    for scale in rng.uniform(0.1, 10.0, size=3):
-        res = spectral_radius(P, start=scale * np.ones(12))
-        assert res.r == pytest.approx(base.r, rel=1e-12)
-        assert np.abs(res.w - base.w).max() <= 1e-10
-
-
 def test_monodromy_matches_dense_product(heat_unit):
     F = prepare(heat_unit, 0.0)
     P = monodromy(F)
@@ -114,17 +103,10 @@ def test_eigengap_at_odd_n_is_the_closed_form():
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"start": np.zeros(3)}, "nonzero"),
-    ({"start": np.array([1.0, np.nan, 1.0])}, "finite"),
-    ({"start": np.array([1.0, np.inf, 1.0])}, "finite"),
-    ({"start": np.full(3, 1e200)}, "nonzero, finite norm, got inf"),
-    ({"start": np.ones(4)}, r"shape \(3,\), got \(4,\)"),
-    ({"start": np.ones((3, 1))}, r"shape \(3,\)"),
     ({"tol": 0.0}, "tol"),
     ({"max_iter": 0}, "max_iter"),
-], ids=["zero", "nan", "inf", "norm_overflow", "too_long", "column", "tol", "max_iter"])
+], ids=["tol", "max_iter"])
 def test_bad_power_iteration_arguments_rejected_up_front(kwargs, match):
-    # a zero or non-finite start used to run every iteration on NaN
     with pytest.raises(ValueError, match=match):
         spectral_radius(_mat(np.eye(3)), **kwargs)
 
