@@ -12,7 +12,7 @@ or a path to a config document; a builtin name wins, so ./NAME reaches a file
 named like one.
 Outputs land in --out (default ./perevo_out).  Every run writes a
 run_manifest.json with a stable digest of the resolved problem; eigen, sweep
-and kernel add factored_steps, the number of distinct step matrices factored
+and kernel add factored_steps, the number of distinct step matrices built
 at each penalty.  The scripts in demos/ tell each scenario's story end to end.
 
 Exit codes: 0 success / assumption holds; 2 bad config or arguments, or a

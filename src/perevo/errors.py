@@ -30,7 +30,7 @@ class LevelMismatch(PerevoError):
 
 
 class SingularStep(PerevoError):
-    """A time-step matrix could not be factorized; dt or mesh is invalid."""
+    """A time-step matrix is not finite or meets a zero pivot; dt or mesh is invalid."""
 
 
 class NoConvergence(PerevoError):

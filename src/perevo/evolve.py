@@ -10,11 +10,11 @@ inside L_j, so arbitrarily large lam never destabilizes the step.  With the
 nonpositive off-diagonal sign pattern each L_j is an M-matrix and the step
 map is entrywise nonnegative at every penalty; prepare() certifies this.
 
-prepare() builds each distinct L_j once and factors it (LAPACK dgttrf).  The
-weights of interest are piecewise constant in time, so the levels fall into
-runs of bitwise-identical coefficient and weight samples (level_runs); every
-step into one run shares one matrix and one factorization, and a problem
-whose levels all differ gets one per step.
+prepare() builds each distinct L_j once and certifies that it has no zero
+pivot.  The weights of interest are piecewise constant in time, so the
+levels fall into runs of bitwise-identical coefficient and weight samples
+(level_runs); every step into one run shares one matrix, and a problem whose
+levels all differ gets one per step.
 
 The same stepper runs the hard-wall problem, the lam -> infinity limit in
 which the solution lives only on the nodes of the vanishing region: given a
@@ -26,29 +26,30 @@ hard Dirichlet walls at the first inactive node on each side.
 evolve_state applies the discrete evolution map between two levels.  Because
 a composed evolution is literally the same sequence of solves, splitting it
 at any intermediate level reproduces the direct result bit for bit.  Every
-evolution steps one Fortran-ordered copy of its state in place, through one
-step function (_step).  On one thread it steps with dgtsv on the unfactored
-rows of L_j: dgtsv runs the elimination of dgttrf and the substitution of
-dgttrs row by row across all columns at once, with the same bits, and is the
-faster of the two.  The columns of a matrix state evolve independently, so a
-wide matrix is cut into contiguous column blocks, views of that one buffer,
-that step concurrently on the CPUs the process may use; these step with the
-dgttrf factors through dgttrs, which releases the GIL, where scipy's dgtsv
-wrapper holds it and would serialize the blocks.  Each column sees the same
+evolution steps one Fortran-ordered copy of its state in place, and every
+step is one LAPACK dgtsv solve across all columns at once, on a copy of the
+rows of L_j (dgtsv overwrites the rows it is given).  dgtsv is called
+through the function pointer that scipy.linalg.cython_lapack exports, with
+ctypes, which releases the GIL for the call.  The columns of a matrix state
+evolve independently, so a wide matrix is cut into contiguous column blocks,
+views of that one buffer, that step concurrently on the CPUs the process may
+use, each with its own copy of the rows.  Each column sees the same
 arithmetic as it would alone, so the result has the same bits and the same
 memory order either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
+import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg import cython_lapack
 
 from .errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from .model import ProblemSpec, coercivity_shift
@@ -94,16 +95,14 @@ class ForcingField:
 
 @dataclass(frozen=True)
 class StepFactorization:
-    """Factored step matrices for one penalty value over a full period.
+    """Certified step matrices for one penalty value over a full period.
 
-    rows[j] holds the unfactored bands (dl, d, du) of L_j (levels j -> j+1),
-    which dgtsv steps with on one thread; steps[j] is their dgttrf
-    factorization (dl, d, du, du2, ipiv), which dgttrs steps the column
-    blocks of a split evolution with.  At n = 2 the factorization carries a
-    padded identity row (see prepare) and only certifies the pivots: such an
-    evolution never splits.  Steps whose levels j+1 lie in one run of
-    level_runs share one rows tuple and one factorization, the very same
-    tuples.  The rows are read-only: dgtsv works on copies of them.
+    rows[j] holds the bands of L_j (levels j -> j+1) in dgtsv's order, as one
+    read-only array of 3n - 2 numbers: the n - 1 entries below the diagonal,
+    the n diagonal entries and the n - 1 entries above it.  Steps whose
+    levels j+1 lie in one run of level_runs share one rows array, the very
+    same array.  dgtsv overwrites the rows it solves with, so every
+    evolution, and every column block of one, steps on its own copy.
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level and every L_j has positive
     row sums (an M-matrix).
@@ -114,8 +113,7 @@ class StepFactorization:
 
     spec: ProblemSpec
     lam: float
-    steps: tuple = field(repr=False)  # M entries: a repr would print every factor
-    rows: tuple = field(repr=False)
+    rows: tuple = field(repr=False)  # M entries: a repr would print every row
     positivity: bool
     peclet_ok: bool
     active: np.ndarray | None = field(default=None, repr=False)
@@ -133,6 +131,61 @@ class StepFactorization:
     @property
     def tgrid(self):
         return self.spec.tgrid
+
+
+#: dgtsv's C signature, (n, nrhs, dl, d, du, b, ldb, info), with double as d
+DGTSV_SIGNATURE = "void (int *, int *, d *, d *, d *, d *, int *, int *)"
+
+
+def _bind_dgtsv():
+    """LAPACK dgtsv, from the capsule scipy.linalg.cython_lapack exports, as a
+    ctypes function, which releases the GIL for every call.
+
+    The capsule is named by its C signature; any other signature than
+    DGTSV_SIGNATURE fails the import.  The function declares no argument
+    types, which ctypes would convert on every call (about 1 us a step,
+    enough to make a lone vector step slower than through scipy's own
+    wrapper): only _dgtsv_args builds its arguments, once per evolution,
+    from buffers it has checked."""
+    capsule = cython_lapack.__pyx_capi__["dgtsv"]
+    # own function objects, so ctypes.pythonapi's shared ones keep their types
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    name = get_name(capsule)
+    signature = re.sub(r"\b(?:__pyx_t_\w*_d|double)\b", "d", name.decode())
+    if signature != DGTSV_SIGNATURE:
+        raise ImportError(f"scipy.linalg.cython_lapack exports dgtsv as {name.decode()!r}, "
+                          f"not as {DGTSV_SIGNATURE!r}")
+    dgtsv = ctypes.CFUNCTYPE(None)(get_pointer(capsule, name))
+    dgtsv.argtypes = None
+    return dgtsv
+
+
+_dgtsv = _bind_dgtsv()
+
+
+def _dgtsv_args(bands: np.ndarray, b: np.ndarray):
+    """dgtsv's arguments for solving in place in b's memory, with the rows
+    (3n - 2 numbers, see StepFactorization) in bands, and its info.
+
+    b must be a contiguous vector of n numbers, or a Fortran-contiguous block
+    of n rows whose columns start n numbers apart (ldb = n), as every column
+    block of a Fortran-ordered state does; anything else raises
+    InvariantError, as dgtsv would read and write past its columns.  The
+    arguments point into bands and b, which must outlive their use."""
+    n = b.shape[0]
+    if not (b.dtype == np.float64 and b.flags.writeable and b.strides[0] == 8
+            and (b.ndim == 1 or b.strides[1] == 8 * n)) or bands.shape != (3 * n - 2,):
+        raise InvariantError(f"dgtsv needs a contiguous vector or a Fortran block with ldb = {n}, "
+                             f"got shape {b.shape}, strides {b.strides}, dtype {b.dtype}")
+    at = bands.ctypes.data
+    size, nrhs, info = ctypes.c_int(n), ctypes.c_int(1 if b.ndim == 1 else b.shape[1]), ctypes.c_int()
+    args = (ctypes.byref(size), ctypes.byref(nrhs), ctypes.c_void_p(at),
+            ctypes.c_void_p(at + 8 * (n - 1)), ctypes.c_void_p(at + 8 * (2 * n - 1)),
+            ctypes.c_void_p(b.ctypes.data), ctypes.byref(size), ctypes.byref(info))
+    return args, info
 
 
 def level_runs(spec: ProblemSpec, active: np.ndarray | None = None) -> np.ndarray:
@@ -158,14 +211,14 @@ def level_runs(spec: ProblemSpec, active: np.ndarray | None = None) -> np.ndarra
 
 
 def distinct_steps(spec: ProblemSpec) -> int:
-    """How many step matrices prepare(spec, lam) factors: the runs that levels
-    1..M span."""
+    """How many distinct step matrices prepare(spec, lam) builds and
+    certifies: the runs that levels 1..M span."""
     runs = level_runs(spec)
     return int(runs[-1] - runs[1]) + 1
 
 
 def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> StepFactorization:
-    """Assemble, factor and certify all step matrices for one penalty value.
+    """Assemble and certify all step matrices for one penalty value.
 
     active, an (M+1, n) bool array whose row j marks the nodes allowed at
     level j, turns the steps into hard-wall steps (see StepFactorization):
@@ -175,53 +228,46 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     a nonpositive coupling or replacing a row by an identity row keeps the
     sign pattern and the positive row sums.
 
-    The stencil, the step matrices, their checks and the certificate are
-    evaluated once per run of identical levels (level_runs), and dgttrf runs
-    once per run that some step enters.  The unfactored rows are copied once,
-    for all runs together, before dgttrf factors them in place.
+    The stencil, the step matrices, their checks and the certificates are
+    evaluated once per run of identical levels (level_runs).  The pivot
+    certificate is one dgtsv solve per run that some step enters, on a copy
+    of its rows: the elimination every later step repeats on those rows
+    finds no zero pivot.
     """
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
-    M, dt = spec.tgrid.M, spec.tgrid.dt
+    M, dt, n = spec.tgrid.M, spec.tgrid.dt, spec.grid.n
     run = level_runs(spec, active)
     starts = np.flatnonzero(np.diff(run, prepend=-1))  # first level of each run
-    rows = starts if len(starts) <= M else slice(None)
-    lower, diag, upper = stencil_bands(spec, rows)  # row r belongs to run r
-    w = np.ascontiguousarray(spec.weight.values[1:-1, rows].T)
-    # L_j = I + dt (A + lam M) at level j+1, in dgttrf's band layout;
+    levels = starts if len(starts) <= M else slice(None)
+    lower, diag, upper = stencil_bands(spec, levels)  # row r belongs to run r
+    w = np.ascontiguousarray(spec.weight.values[1:-1, levels].T)
+    # L_j = I + dt (A + lam M) at level j+1, as dgtsv's bands;
     # steps 0..M-1 enter the runs run[1]..run[M]
     used = slice(run[1], None)
     dl = lower[used, 1:] * dt
     d = diag[used] * dt + (1.0 + dt * lam * w[used])
     du = upper[used, :-1] * dt
     if active is not None:
-        act = active[rows][used]
+        act = active[levels][used]
         cut = ~(act[:, :-1] & act[:, 1:])  # nodes i, i+1 not both active
         dl[cut] = du[cut] = 0.0
         d[~act] = 1.0
     finite = np.isfinite(dl).all(1) & np.isfinite(d).all(1) & np.isfinite(du).all(1)
-    bands = dl.copy(), d.copy(), du.copy()  # dgtsv's rows, kept from dgttrf
-    for band in bands:
-        band.flags.writeable = False
-    if spec.grid.n == 2:
-        # dgttrf needs n >= 3: append an identity row that couples to nothing;
-        # these factors only check the pivots, as no n = 2 evolution splits
-        dl, du = np.pad(dl, ((0, 0), (0, 1))), np.pad(du, ((0, 0), (0, 1)))
-        d = np.pad(d, ((0, 0), (0, 1)), constant_values=1.0)
-    factors = []
+    bands = np.concatenate((dl, d, du), axis=1)  # row r: the rows of run r
+    bands.flags.writeable = False
+    work, zero = np.empty(3 * n - 2), np.zeros(n)  # both live as long as args
+    args, info = _dgtsv_args(work, zero)
     for r, level in enumerate(starts[used].tolist()):
         step = max(level - 1, 0)  # the first step into this run
         if not finite[r]:
             raise SingularStep(f"non-finite step matrix at step {step}")
-        # the rows are factored in place when dgttrf can, with no new arrays
-        *lu, info = dgttrf(dl[r], d[r], du[r], overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info > 0:
-            raise SingularStep(f"factorization failed at step {step}: zero pivot {info}")
-        factors.append(tuple(lu))
-    unfactored = tuple(zip(*bands))  # (dl, d, du) of each run
-    index = (run[1:] - run[1]).tolist()
-    steps = tuple(factors[r] for r in index)
-    rows = tuple(unfactored[r] for r in index)
+        work[:] = bands[r]
+        _dgtsv(*args)
+        if info.value > 0:
+            raise SingularStep(f"factorization failed at step {step}: zero pivot {info.value}")
+    per_run = tuple(bands)
+    rows = tuple(per_run[r] for r in (run[1:] - run[1]).tolist())
 
     peclet = mesh_peclet_ok(spec)
     m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
@@ -229,8 +275,7 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    return StepFactorization(spec, float(lam), steps, rows, bool(m_pattern and dominant),
-                             peclet, active)
+    return StepFactorization(spec, float(lam), rows, bool(m_pattern and dominant), peclet, active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
@@ -240,26 +285,29 @@ def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _step(F: StepFactorization, j: int, b: np.ndarray, factored: bool) -> None:
-    """Step j in place: solve L_j x = b in b's own memory, b a vector or a
-    Fortran-contiguous matrix that the caller owns.  With a mask, b's rows
-    outside active[j+1] are zeroed first.  factored steps with the dgttrf
-    factors through dgttrs, which releases the GIL; otherwise dgtsv steps on
-    the rows of L_j, with the same bits.  No info is read: prepare's dgttrf
-    ran the same elimination on the same matrix and found no zero pivot."""
-    if F.active is not None:
-        b[~F.active[j + 1]] = 0.0
-    if factored:
-        dgttrs(*F.steps[j], b, overwrite_b=1)
-    else:
-        dgtsv(*F.rows[j], b, overwrite_b=1)
+def _stepper(F: StepFactorization, b: np.ndarray):
+    """The step function of one evolution of b in place, b a buffer the
+    caller owns (see _dgtsv_args).  step(j) zeroes b's rows outside
+    active[j+1] when F has a mask, copies the rows of L_j into this
+    evolution's own bands and solves L_j x = b in b's memory by dgtsv.  No
+    info is read: prepare solved with the same rows and found no zero pivot.
+    """
+    bands = np.empty(3 * F.n - 2)
+    args, _ = _dgtsv_args(bands, b)
+    rows, active = F.rows, F.active
+
+    def step(j):
+        if active is not None:
+            b[~active[j + 1]] = 0.0
+        bands[:] = rows[j]
+        _dgtsv(*args)
+    return step
 
 
-# Narrower blocks hand the GIL over too often for the solve work between
-# hand-offs: 2 x 32 columns of n = 64 gain a third on an idle 2-CPU host but
-# can lose time while other tenants of the host steal CPU time, whereas
-# 2 x 64 columns of n = 128 keep most of their gain either way.
-BLOCK_MIN_COLUMNS = 48
+# Two 32-column blocks take 0.64-0.68 of the serial time of a du_peng period
+# map (n = 64) on an idle 2-CPU host; narrower blocks hand the GIL over more
+# often for the solve work between hand-offs.
+BLOCK_MIN_COLUMNS = 32
 
 
 def column_workers() -> int:
@@ -275,10 +323,10 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
 
     v is copied once into a Fortran-ordered buffer, which every step
     overwrites and which is returned; v itself is never written.  A matrix
-    of at least 2 * BLOCK_MIN_COLUMNS columns and n >= 3 rows steps as
-    contiguous column blocks of that buffer, one per usable CPU at most, each
-    by dgttrs on its own thread of a pool that lives as long as the
-    evolution.  Anything else steps on the calling thread by dgtsv.
+    of at least 2 * BLOCK_MIN_COLUMNS columns steps as contiguous column
+    blocks of that buffer, one per usable CPU at most, each on its own
+    thread of a pool that lives as long as the evolution.  Anything else
+    steps on the calling thread.
     """
     if from_level > to_level:
         raise LevelOrder(f"need from_level <= to_level, got {from_level} > {to_level}")
@@ -286,22 +334,23 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
         raise LevelOrder(f"levels {from_level}..{to_level} outside 0..{F.M}")
     w = np.array(_check_state(F, v), order="F")
 
-    def run(b, factored):
+    def run(b):
+        step = _stepper(F, b)
         for j in range(from_level, to_level):
-            _step(F, j, b, factored)
+            step(j)
 
     k = 1
-    if w.ndim == 2 and F.n >= 3 and to_level > from_level:
+    if w.ndim == 2 and to_level > from_level:
         k = min(column_workers(), w.shape[1] // BLOCK_MIN_COLUMNS)
     if k <= 1:
-        run(w, False)
+        run(w)
         return w
     cuts = [w.shape[1] * b // k for b in range(k + 1)]
     blocks = [w[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     # the calling thread steps the first block, the pool the others
     with ThreadPoolExecutor(k - 1, thread_name_prefix="perevo-columns") as pool:
-        futures = [pool.submit(run, block, True) for block in blocks[1:]]
-        run(blocks[0], True)
+        futures = [pool.submit(run, block) for block in blocks[1:]]
+        run(blocks[0])
         for fut in futures:
             fut.result()
     return w
@@ -311,16 +360,20 @@ def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | Non
     """Yield the states of one vector w at levels 0..M, w itself first.
 
     With a forcing, step j adds dt f^{j+1} to its right-hand side; without
-    one the steps are the homogeneous step maps.  Every state yielded is a
-    new array; w itself is never written.
+    one the steps are the homogeneous step maps.  The steps overwrite one
+    copy of w, and every state after w is yielded as a new copy of it; w
+    itself is never written.
     """
     f = None if forcing is None else forcing.values[1:-1]
     dt = F.tgrid.dt
     yield w
+    b = np.array(w, dtype=float)
+    step = _stepper(F, b)
     for j in range(F.M):
-        w = w.copy() if f is None else w + dt * f[:, j + 1]
-        _step(F, j, w, False)
-        yield w
+        if f is not None:
+            b += dt * f[:, j + 1]
+        step(j)
+        yield b.copy()
 
 
 def mild_solution(F: StepFactorization, u0: np.ndarray,

@@ -16,7 +16,7 @@ side.  This is exactly the entrywise limit of the penalized steps as the
 penalty grows, so the penalized period maps dominate the oracle entrywise and
 the eigenvalues approach the oracle value from below.
 
-The oracle and the sweep step through the same factors and read the same
+The oracle and the sweep step through the same stepper and read the same
 weight samples.  What keeps the oracle an independent check is its spectrum,
 which comes from a dense eigendecomposition instead of power iteration; the
 tests add a dense reference (tests/oracles.py) that builds the hard-wall

@@ -155,9 +155,6 @@ class PeriodicEigenfunction:
     mu: float
     defect: float
 
-    def at_level(self, j: int) -> np.ndarray:
-        return self.samples[j]
-
 
 def periodic_samples(F: StepFactorization, w: np.ndarray, mu: float) -> np.ndarray:
     """Rows u(t_j) = exp(mu t_j) * (evolution of w from level 0 to j), j = 0..M."""

@@ -5,20 +5,23 @@ import sys
 import threading
 import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 import perevo
+from dgtsv_hook import hook_dgtsv
 from perevo import evolve
-from perevo.errors import DimensionMismatch, InvariantError, LevelOrder
+from perevo.errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
                            prepare, trajectory_rows)
 from perevo.kernel import kernel_matrix
 from perevo.operator import stencil_bands
 from perevo.spectral import monodromy
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgtsv, dgttrf
 
 
 def test_prepare_certificate_baseline(heat_small):
@@ -71,41 +74,42 @@ c0 = indicator_box(0.99, 2.0, 0.5, 1.0)""").replace(
     "weight = indicator_box(0.25, 0.75, 0.25, 0.75)", "weight = indicator_box(0.99, 2.0, 0.0, 0.5)")
 
 
-def test_prepare_factors_each_step_once_and_solves_nothing(heat_small, du_peng_small,
-                                                           monkeypatch):
-    # one dgttrf per run of identical levels that a step enters: heat is one
-    # run, du_peng three (before, inside and after its switch, level M being
-    # level 0 again), sin_t changes D at every level, and the endpoint-only
-    # changes split no run; a vector then steps on one thread, by dgtsv
-    counts = {"dgttrf": 0, "dgttrs": 0, "dgtsv": 0}
-
-    def counting(name):
-        real = getattr(evolve, name)
-
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
-        return wrapped
-
-    for name in counts:
-        monkeypatch.setattr(evolve, name, counting(name))
+def test_prepare_certifies_each_run_once(heat_small, du_peng_small, monkeypatch):
+    # one pivot-certifying solve per run of identical levels that a step
+    # enters: heat is one run, du_peng three (before, inside and after its
+    # switch, level M being level 0 again), sin_t changes D at every level,
+    # and the endpoint-only changes split no run; a vector then takes one
+    # solve per step
+    calls = hook_dgtsv(monkeypatch)
     sin_t, ends = perevo.build_problem(SIN_T), perevo.build_problem(ENDPOINT_ONLY)
     assert ends.coeff.b[0].any() and ends.coeff.c0[-1].any() and ends.weight.values[-1].any()
-    for spec, factored in ((heat_small, 1), (du_peng_small, 3), (sin_t, sin_t.tgrid.M), (ends, 1)):
-        counts.update(dgttrf=0, dgttrs=0, dgtsv=0)
+    for spec, runs in ((heat_small, 1), (du_peng_small, 3), (sin_t, sin_t.tgrid.M), (ends, 1)):
+        calls.clear()
         F = prepare(spec, 1.0)
-        assert counts == {"dgttrf": factored, "dgttrs": 0, "dgtsv": 0}
-        assert len({id(f) for f in F.steps}) == evolve.distinct_steps(spec) == factored
-        assert len({id(r) for r in F.rows}) == factored and len(F.rows) == len(F.steps)
-        assert len(F.steps) == spec.tgrid.M
-        assert "steps=" not in repr(F) and "rows=" not in repr(F)
+        assert len(calls) == runs and {nrhs for nrhs, _ in calls} == {1}
+        assert len({id(r) for r in F.rows}) == evolve.distinct_steps(spec) == runs
+        assert {r.tobytes() for r in F.rows} == {rows.tobytes() for _, rows in calls}
+        assert len(F.rows) == spec.tgrid.M
+        assert "rows=" not in repr(F)
         evolve_state(F, np.ones(spec.grid.n), 0, 3)
-        assert counts == {"dgttrf": factored, "dgttrs": 0, "dgtsv": 3}
+        assert len(calls) == runs + 3
+        assert all(rows.tobytes() == F.rows[j].tobytes() for j, (_, rows) in enumerate(calls[runs:]))
+
+
+def test_zero_pivot_is_certified_by_the_binding():
+    # two nodes, c0 = -17, no penalty: I + dt A is exactly singular, and the
+    # elimination meets the zero at its second pivot
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 2), perevo.TimeGrid(1.0, 8)
+    spec = perevo.make_problem(grid, tgrid, perevo.make_coefficients(grid, tgrid, 1.0, c0=-17.0),
+                               perevo.BoundarySpec("dirichlet"), perevo.make_weight(grid, tgrid, 1.0))
+    with pytest.raises(SingularStep, match="^factorization failed at step 0: zero pivot 2$"):
+        prepare(spec, 0.0)
+    prepare(spec, 1.0)
 
 
 def _reference_evolve(spec, lam, state, from_level, to_level, active=None):
-    """Step state with the dgttrf factors of every level's own step matrix,
-    built from stencil_bands(spec) with no sharing between levels."""
+    """Step state with scipy's own dgtsv wrapper on every level's own step
+    matrix, built from stencil_bands(spec) with no sharing between levels."""
     lower, diag, upper = stencil_bands(spec)
     weight = spec.weight.values[1:-1].T
     dt = spec.tgrid.dt
@@ -117,11 +121,10 @@ def _reference_evolve(spec, lam, state, from_level, to_level, active=None):
             cut = ~(active[j + 1, :-1] & active[j + 1, 1:])
             dl[cut] = du[cut] = 0.0
             d[~active[j + 1]] = 1.0
-        *lu, info = dgttrf(dl, d, du)
-        assert info == 0
         if active is not None:
             state = np.where(active[j + 1][:, None], state, 0.0)
-        state = dgttrs(*lu, state)[0]
+        *_, state, info = dgtsv(dl, d, du, state)
+        assert info == 0
     return state
 
 
@@ -162,22 +165,77 @@ def test_shared_factors_match_per_level_factors_bit_for_bit(target, lattice, mas
         assert kernel_matrix(F, 3, M // 2 + 1).entries.tobytes() == want.tobytes()
 
 
-def test_dgtsv_matches_dgttrf_dgttrs_bit_for_bit():
-    # the one-thread path steps with dgtsv and the column blocks with the
-    # dgttrf factors; both must give the same bits, row interchanges included
+def _split(rows, n):
+    """The (dl, d, du) bands of one packed rows array."""
+    return rows[:n - 1], rows[n - 1:2 * n - 1], rows[2 * n - 1:]
+
+
+def _binding_solve(rows, b):
+    """Solve with the binding in a copy of b, as one evolution step does."""
+    x = np.array(b, order="F")
+    bands = np.array(rows)
+    args, info = evolve._dgtsv_args(bands, x)
+    evolve._dgtsv(*args)
+    return x, info.value
+
+
+def _scipy_solve(rows, b):
+    """scipy's f2py dgtsv, which wants bands of at least one entry at n = 1."""
+    n = b.shape[0]
+    dl, d, du = _split(rows, n) if n > 1 else (np.zeros(1), rows, np.zeros(1))
+    *_, x, info = dgtsv(dl, d, du, b)
+    return x, info
+
+
+def test_binding_matches_scipy_dgtsv_bit_for_bit():
+    # n = 1 and 2, one and many right-hand sides, row interchanges and zero
+    # pivots, against scipy's f2py wrapper of the same dgtsv
     rng = np.random.default_rng(14)
-    swapped = 0
-    for _ in range(1000):
-        n, k = int(rng.integers(3, 70)), int(rng.integers(1, 70))
-        dl, d, du = rng.standard_normal(n - 1), rng.standard_normal(n), rng.standard_normal(n - 1)
-        b = rng.standard_normal((n, k)) if k > 1 else rng.standard_normal(n)
-        *lu, info = dgttrf(dl, d, du)
-        assert info == 0
-        swapped += bool((lu[-1] != np.arange(1, n + 1)).any())
-        got = dgtsv(dl, d, du, b)
-        assert got[4] == 0
-        assert got[3].tobytes() == dgttrs(*lu, b)[0].tobytes()
-    assert swapped >= 900
+    swapped = singular = 0
+    for trial in range(1000):
+        n = (1, 2)[trial] if trial < 2 else int(rng.integers(1, 70))
+        rows = rng.standard_normal(3 * n - 2)
+        if trial % 50 == 7:
+            rows[n - 1] = 0.0  # a zero first pivot unless row 2 takes its place
+            rows[:1] = 0.0
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 1)),
+                  rng.standard_normal((n, int(rng.integers(2, 70))))):
+            got, info = _binding_solve(rows, b)
+            want, want_info = _scipy_solve(rows, b)
+            assert info == want_info
+            if info == 0:
+                assert got.tobytes() == want.tobytes()
+        singular += info > 0
+        if n > 2:
+            dl, d, _ = _split(rows, n)
+            swapped += bool(np.abs(dl[0]) > np.abs(d[0]))
+    assert swapped >= 300 and singular >= 10
+
+
+def test_binding_rejects_buffers_it_cannot_step():
+    n = 5
+    bands = np.ones(3 * n - 2)
+    for bad in (np.ones((n, 4)),  # C-ordered
+                np.ones((n, 8), order="F")[:, ::2],  # columns 2n apart
+                np.ones(2 * n)[::2],  # a strided vector
+                np.ones(n, dtype=np.float32),
+                np.broadcast_to(np.ones(1), (n,)),  # read-only, one value
+                np.ones((n + 1, 4), order="F")[1:]):  # ldb = n + 1
+        with pytest.raises(InvariantError, match="ldb"):
+            evolve._dgtsv_args(bands, bad)
+    with pytest.raises(InvariantError):
+        evolve._dgtsv_args(np.ones(3 * n), np.ones(n))
+    evolve._dgtsv_args(bands, np.ones((n, 8), order="F")[:, 2:5])
+
+
+def test_a_capsule_of_another_signature_fails_the_binding(monkeypatch):
+    assert evolve.DGTSV_SIGNATURE == "void (int *, int *, d *, d *, d *, d *, int *, int *)"
+    other = SimpleNamespace(__pyx_capi__={"dgtsv": cython_lapack.__pyx_capi__["dgttrs"]})
+    monkeypatch.setattr(evolve, "cython_lapack", other)
+    with pytest.raises(ImportError, match="exports dgtsv as"):
+        evolve._bind_dgtsv()
+    monkeypatch.undo()
+    evolve._bind_dgtsv()
 
 
 def _strong_advection(n, M):
@@ -195,47 +253,46 @@ def test_row_interchanges_keep_the_bits_on_every_path(mask, monkeypatch):
     active = None if mask is None else mask(spec)
     with pytest.warns(UserWarning, match="Peclet"):
         F = prepare(spec, 2.0, active)
-    assert any((ipiv != np.arange(1, spec.grid.n + 1)).any() for *_, ipiv in F.steps)
-    V = np.random.default_rng(9).standard_normal((spec.grid.n, 2 * evolve.BLOCK_MIN_COLUMNS + 3))
+    n = spec.grid.n
+    assert any((dgttrf(*_split(rows, n))[-2] != np.arange(1, n + 1)).any() for rows in F.rows)
+    V = np.random.default_rng(9).standard_normal((n, 2 * evolve.BLOCK_MIN_COLUMNS + 3))
     want = _reference_evolve(spec, 2.0, V, 0, spec.tgrid.M, active)
-    for workers in (1, 2):  # one dgtsv buffer, then two dgttrs blocks
+    for workers in (1, 2):  # one buffer, then two column blocks
         monkeypatch.setattr(evolve, "column_workers", lambda workers=workers: workers)
         assert evolve_state(F, V, 0, spec.tgrid.M).tobytes() == want.tobytes()
     alone = evolve_state(F, V[:, 5], 0, spec.tgrid.M)
     assert alone.tobytes() == want[:, 5].tobytes()
 
 
-def _no_dgttrs(*args, **kwargs):
-    raise AssertionError("an n = 2 evolution stepped with the padded factors")
-
-
 @pytest.mark.parametrize("name", ["heat_baseline", "du_peng"])
-def test_two_nodes_step_alike_with_and_without_the_padded_row(name, monkeypatch):
-    # dgttrf needs a padded identity row at n = 2, dgtsv does not, so an
-    # n = 2 evolution never splits and never calls dgttrs
+def test_two_nodes_step_alike_split_and_serial(name, monkeypatch):
+    # n = 2 splits like any other n: two blocks of BLOCK_MIN_COLUMNS columns
     spec = perevo.builtin_scenario(name, n=2, M=16)
     V = np.random.default_rng(2).random((2, 2 * evolve.BLOCK_MIN_COLUMNS))
     for lam in (0.0, 3.0, 1e4):
         F = prepare(spec, lam)
+        want = _reference_evolve(spec, lam, V, 0, spec.tgrid.M)
         monkeypatch.setattr(evolve, "column_workers", lambda: 2)
         with monkeypatch.context() as m:
-            m.setattr(evolve, "dgttrs", _no_dgttrs)
+            calls = hook_dgtsv(m)
             blocks = evolve_state(F, V, 0, spec.tgrid.M)
+        assert [nrhs for nrhs, _ in calls] == [evolve.BLOCK_MIN_COLUMNS] * 2 * spec.tgrid.M
         monkeypatch.setattr(evolve, "column_workers", lambda: 1)
         serial = evolve_state(F, V, 0, spec.tgrid.M)
-        assert blocks.tobytes() == serial.tobytes()
+        assert blocks.tobytes() == serial.tobytes() == want.tobytes()
 
 
 def test_evolutions_leave_their_input_and_the_rows_unchanged(du_peng_small):
     F = prepare(du_peng_small, 10.0)
-    rows = [tuple(band.copy() for band in r) for r in F.rows]
+    rows = [r.copy() for r in F.rows]
     V = np.asfortranarray(np.random.default_rng(5).random((du_peng_small.grid.n, 8)))
     kept = V.copy(order="A")
     evolve_state(F, V, 0, du_peng_small.tgrid.M)
     mild_solution(F, V[:, 0], ForcingField.constant(1.0, du_peng_small.grid, du_peng_small.tgrid))
     assert V.tobytes(order="A") == kept.tobytes(order="A")
-    assert all(a.tobytes() == b.tobytes() for r, c in zip(F.rows, rows) for a, b in zip(r, c))
-    assert not any(band.flags.writeable for r in F.rows for band in r)
+    assert all(r.tobytes() == c.tobytes() for r, c in zip(F.rows, rows))
+    assert not any(r.flags.writeable for r in F.rows)
+    assert all(r.shape == (3 * du_peng_small.grid.n - 2,) for r in F.rows)
 
 
 def test_levels_differing_in_the_sign_of_a_zero_do_not_share_factors():
@@ -246,8 +303,8 @@ def test_levels_differing_in_the_sign_of_a_zero_do_not_share_factors():
                                perevo.BoundarySpec("dirichlet"), perevo.make_weight(grid, tgrid))
     assert evolve.level_runs(spec).tolist() == [0] * 5 + [1] * 4
     F = prepare(spec, 1.0)
-    assert len({id(f) for f in F.steps}) == 2
-    assert F.steps[3] is F.steps[0] and F.steps[4] is F.steps[7] is not F.steps[3]
+    assert len({id(r) for r in F.rows}) == 2
+    assert F.rows[3] is F.rows[0] and F.rows[4] is F.rows[7] is not F.rows[3]
     want = _reference_evolve(spec, 1.0, np.eye(grid.n), 0, tgrid.M)
     assert monodromy(F).P.tobytes() == want.tobytes()
 
@@ -421,8 +478,8 @@ def _split_spec(n):
 @pytest.mark.parametrize("levels", [(0, 96), (7, 40)], ids=["1.0-full", "1.0-partial"])
 @pytest.mark.parametrize("n", [64, 127, 144])
 def test_column_blocks_match_single_columns(n, levels, monkeypatch):
-    # with three workers 64 columns stay one block, 127 make two uneven
-    # blocks and 144 three
+    # with three workers 64 columns make two blocks, 127 three uneven blocks
+    # and 144 three
     monkeypatch.setattr(evolve, "column_workers", lambda: 3)
     F = _split_spec(n)
     V = np.random.default_rng(n).random((n, n))
@@ -433,13 +490,15 @@ def test_column_blocks_match_single_columns(n, levels, monkeypatch):
 
 
 def test_one_worker_gives_the_same_bytes(monkeypatch):
-    F = _split_spec(127)
-    V = np.random.default_rng(3).random((127, 127))
-    default = evolve_state(F, V, 0, 96)
-    monkeypatch.setattr(evolve, "column_workers", lambda: 1)
-    serial = evolve_state(F, V, 0, 96)
-    assert default.tobytes(order="A") == serial.tobytes(order="A")
-    assert default.flags.f_contiguous and serial.flags.f_contiguous
+    for n in (64, 127):
+        F = _split_spec(n)
+        V = np.random.default_rng(3).random((n, n))
+        monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+        split = evolve_state(F, V, 0, 96)
+        monkeypatch.setattr(evolve, "column_workers", lambda: 1)
+        serial = evolve_state(F, V, 0, 96)
+        assert split.tobytes(order="A") == serial.tobytes(order="A")
+        assert split.flags.f_contiguous and serial.flags.f_contiguous
 
 
 def test_concurrent_callers_get_the_bits_of_single_columns(monkeypatch):
@@ -470,37 +529,35 @@ def test_concurrent_callers_get_the_bits_of_single_columns(monkeypatch):
 
 def test_split_evolution_leaves_no_thread_behind(monkeypatch):
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
-    calls = []
-    real = evolve.dgttrs
-    monkeypatch.setattr(evolve, "dgttrs", lambda *a, **kw: calls.append(1) or real(*a, **kw))
-    evolve_state(_split_spec(127), np.eye(127), 0, 96)
-    assert len(calls) == 2 * 96  # two blocks stepped
+    F = _split_spec(127)
+    calls = hook_dgtsv(monkeypatch)
+    evolve_state(F, np.eye(127), 0, 96)
+    assert sorted(nrhs for nrhs, _ in calls) == [63] * 96 + [64] * 96  # two blocks stepped
     alive = [t.name for t in threading.enumerate() if t.name.startswith("perevo-columns")]
     assert alive == []
 
 
 def test_forked_child_finishes_a_monodromy(monkeypatch):
-    # fork while another thread is inside a split evolution: the first dgttrs
+    # fork while another thread is inside a split evolution: the first dgtsv
     # call holds its block until the fork is done, so a perevo-columns thread
     # is alive at the fork
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
     F = _split_spec(96)
     want = monodromy(F).P
     inside, forked = threading.Event(), threading.Event()
-    real = evolve.dgttrs
 
-    def held_once(*args, **kwargs):
+    def held_once(call):
         if not inside.is_set():
             inside.set()
             forked.wait(60.0)
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(evolve, "dgttrs", held_once)
+    hook_dgtsv(monkeypatch, held_once)
     got = []
     background = threading.Thread(target=lambda: got.append(monodromy(F).P))
     background.start()
     try:
-        assert inside.wait(60.0)
+        while not inside.wait(0.01):  # fail at once if the hook is never reached
+            assert background.is_alive(), "the monodromy never reached the dgtsv hook"
         assert any(t.name.startswith("perevo-columns") for t in threading.enumerate())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process

@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 import perevo
+from dgtsv_hook import hook_dgtsv
 from perevo import evolve
 from perevo.errors import InsufficientData, LevelMismatch, LevelOrder
 from perevo.evolve import evolve_state, prepare
@@ -152,20 +153,16 @@ def _ladder_spec(name, n):
     return spec, prepare(spec, 10.0)
 
 
-def _counting_solves(monkeypatch):
+def _counting_solves(monkeypatch, n=32):
     """Count the steps of kernels too narrow to split (heat_small's n = 32):
-    they step on one thread, by dgtsv; a dgttrs call fails the test."""
+    each steps on one thread, all n columns at once; a narrower solve fails
+    the test."""
     calls = [0]
-    real = evolve.dgtsv
 
-    def counted(*args, **kwargs):
+    def counted(call):
+        assert call[0] == n, "a narrow kernel stepped as column blocks"
         calls[0] += 1
-        return real(*args, **kwargs)
-
-    def unexpected(*args, **kwargs):
-        raise AssertionError("a narrow kernel stepped with the factors")
-    monkeypatch.setattr(evolve, "dgtsv", counted)
-    monkeypatch.setattr(evolve, "dgttrs", unexpected)
+    hook_dgtsv(monkeypatch, counted)
     return calls
 
 
@@ -174,7 +171,8 @@ def _counting_solves(monkeypatch):
 @pytest.mark.parametrize("name, n", [("heat_baseline", 127), ("du_peng", 64)],
                          ids=["heat_baseline-127-1.0", "du_peng-64-1.0"])
 def test_ascending_ladder_equals_fresh_kernels(name, n, monkeypatch):
-    # two column workers cut n = 127 into two blocks; n = 64 stays one block
+    # two column workers cut n = 127 into blocks of 63 and 64 columns, and
+    # n = 64 into two of 32
     monkeypatch.setattr(evolve, "column_workers", lambda: 2)
     spec, F = _ladder_spec(name, n)
     for s_level, gaps in ((0, (8, 16, 32, 96)), (5, (3, 11, 12, 40, 91))):

@@ -273,16 +273,24 @@ def test_sweep_input_validation(dp_spec):
 
 
 def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
-    # the oracle's map (n = 48 columns) and samples step on one thread, by
-    # dgtsv; a call is the oracle's when it passes a diagonal of lim.F.rows
-    calls = []
-    real = evolve.dgtsv
+    # the oracle's map (n = 48 columns, too few to split) and samples step
+    # each level once; the oracle's steps are those with a hard-wall mask, as
+    # at a level where the weight vanishes everywhere penalty 0 has the
+    # oracle's rows
+    steps = []
+    real = evolve._stepper
 
-    def counting(dl, d, du, b, **kwargs):
-        calls.append(d)
-        return real(dl, d, du, b, **kwargs)
+    def recording(F, b):
+        step = real(F, b)
+        if F.active is None:
+            return step
 
-    monkeypatch.setattr(evolve, "dgtsv", counting)
+        def recorded(j):
+            steps.append((j, b.shape[1:]))
+            step(j)
+        return recorded
+
+    monkeypatch.setattr(evolve, "_stepper", recording)
     lim = limit_monodromy(dp_spec, du_peng_pieces(dp_spec))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -290,12 +298,9 @@ def test_oracle_steps_each_level_once_for_map_and_samples(dp_spec, monkeypatch):
         sweep(dp_spec, [1e5], eps=0.5, oracle=lim)
     compare_to_limit(records, lim, q=2.0)
     compare_to_limit(records, lim, q=1.0)
-    M = dp_spec.tgrid.M
-    oracle_rows = {id(d) for _, d, _ in lim.F.rows}
-    oracle_calls = [d for d in calls if id(d) in oracle_rows]
+    M, n = dp_spec.tgrid.M, dp_spec.grid.n
     # M for Pinf, M for the eigenfunction samples
-    assert len(oracle_calls) == 2 * M
-    assert all(d is lim.F.rows[k % M][1] for k, d in enumerate(oracle_calls))
+    assert steps == [(j, (n,)) for j in range(M)] + [(j, ()) for j in range(M)]
 
 
 @pytest.mark.parametrize("case", ["du_peng", "two_intervals", "counterexample"])

@@ -5,8 +5,11 @@ import pytest
 
 import oracles
 import perevo
+from dgtsv_hook import hook_dgtsv
+from perevo import evolve
 from perevo.errors import NoConvergence, TrivialLimit
-from perevo.evolve import prepare
+from perevo.evolve import evolve_state, prepare
+from perevo.model import box_weight
 from perevo.spectral import (MonodromyMatrix, eigengap, monodromy, periodic_eigenfunction,
                              principal_pair, spectral_radius)
 
@@ -50,6 +53,51 @@ def test_monodromy_matches_dense_product(heat_unit):
     ref = oracles.dense_period_map(F)
     assert np.abs(P.P - ref).max() <= 1e-12 * np.abs(ref).max()
     assert P.positivity
+
+
+def _random_dirichlet(rng, n, M):
+    """A seeded random Dirichlet problem inside the mesh-Peclet bound: D
+    varying in x and t, a constant drift a, b varying in t, c0 >= 0 varying
+    in x and t, and the indicator of a random box as the weight."""
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, n), perevo.TimeGrid(1.0, M)
+    d0, d1, kx = rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.4), rng.uniform(0.0, 6.0)
+    drift = (d0 - d1) * (n + 1)  # times h: at most alpha, the smallest D
+    a, b0, c = rng.uniform(-drift, drift), rng.uniform(-drift, drift), rng.uniform(0.0, 5.0)
+    coeff = perevo.make_coefficients(
+        grid, tgrid, lambda x, t: d0 + d1 * np.sin(kx * x + 2 * math.pi * t), a=a,
+        b=lambda x, t: b0 * np.cos(2 * math.pi * t), c0=lambda x, t: c * (1 + np.sin(3 * x - t)))
+    x1, x2, t1, t2 = (*np.sort(rng.uniform(0, 1, 2)), *np.sort(rng.uniform(0, 1, 2)))
+    weight = perevo.make_weight(grid, tgrid, box_weight(grid, tgrid, x1, x2, t1, t2))
+    return perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"), weight)
+
+
+def test_period_maps_match_dense_products_on_random_problems(monkeypatch):
+    # n and M in 2..39, plus n = 64 and n = 100, which step as two column
+    # blocks when two workers are allowed; the map must be the dense product
+    # of the step solves, the same bits serially and split, and a vector's
+    # evolution the matching column
+    rng = np.random.default_rng(1414)
+    shapes = [tuple(rng.integers(2, 40, 2).tolist()) for _ in range(30)]
+    shapes += [(64, int(rng.integers(2, 40))), (100, int(rng.integers(2, 40)))]
+    for n, M in shapes:
+        spec = _random_dirichlet(rng, n, M)
+        for lam in (0.0, 1e2, 1e4):
+            F = prepare(spec, lam)
+            assert F.positivity and F.peclet_ok
+            ref = oracles.dense_period_map(F)
+            monkeypatch.setattr(evolve, "column_workers", lambda: 1)
+            serial = monodromy(F).P
+            monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+            with monkeypatch.context() as m:
+                calls = hook_dgtsv(m)
+                split = monodromy(F).P
+            blocks = {n} if n < 2 * evolve.BLOCK_MIN_COLUMNS else {n // 2, n - n // 2}
+            assert {nrhs for nrhs, _ in calls} == blocks
+            assert split.tobytes() == serial.tobytes()
+            err = np.abs(serial - ref).max() / np.abs(ref).max()
+            assert err <= 1e-13, (n, M, lam, err)
+            col = int(rng.integers(n))
+            assert evolve_state(F, np.eye(n)[col], 0, M).tobytes() == serial[:, col].tobytes()
 
 
 def test_monodromy_spectrum_closed_form(heat_small):
@@ -113,8 +161,7 @@ def test_bad_power_iteration_arguments_rejected_up_front(kwargs, match):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_scalar_problem_single_node(n):
-    # the smallest grids (n = 2 is below dgttrf's minimum): the period map is
-    # the power of one dense step
+    # the smallest grids: the period map is the power of one dense step
     grid = perevo.Grid1D(0.0, 1.0, n)
     tgrid = perevo.TimeGrid(1.0, 8)
     coeff = perevo.make_coefficients(grid, tgrid, 1.0)
@@ -157,7 +204,7 @@ def test_periodic_eigenfunction_stationary(heat_small):
     eig = periodic_eigenfunction(F, res)
     # autonomous problem: the eigenfunction is constant in time
     for j in (0, 5, heat_small.tgrid.M):
-        assert np.abs(eig.at_level(j) - res.w).max() <= 1e-10
+        assert np.abs(eig.samples[j] - res.w).max() <= 1e-10
     assert eig.defect <= 10 * 1e-10
 
 
@@ -172,7 +219,7 @@ def test_periodic_eigenfunction_nonnegative_and_periodic():
     mask = perevo.build_mask(spec.weight, spec.grid, spec.tgrid)
     for j in (0, 100, 200):
         free = perevo.slices(mask, j) - 1  # lattice -> interior indices
-        assert eig.at_level(j)[free].min() > 0.0
+        assert eig.samples[j][free].min() > 0.0
 
 
 def test_trivial_limit_has_no_eigenfunction():
