@@ -210,6 +210,11 @@ def test_binding_matches_scipy_dgtsv_bit_for_bit():
             dl, d, _ = _split(rows, n)
             swapped += bool(np.abs(dl[0]) > np.abs(d[0]))
     assert swapped >= 300 and singular >= 10
+    with pytest.warns(UserWarning, match="Peclet"):
+        F = prepare(_strong_advection(9, 16), 2.0)  # every step interchanges rows
+    for rows in F.rows:
+        for b in (rng.standard_normal(9), rng.standard_normal((9, 7))):
+            assert _binding_solve(rows, b)[0].tobytes() == _scipy_solve(rows, b)[0].tobytes()
 
 
 def test_binding_rejects_buffers_it_cannot_step():
