@@ -13,7 +13,8 @@ named like one.
 Outputs land in --out (default ./perevo_out).  Every run writes a
 run_manifest.json with a stable digest of the resolved problem; eigen, sweep
 and kernel add factored_steps, the number of distinct step matrices built
-at each penalty.  The scripts in demos/ tell each scenario's story end to end.
+at each penalty.  sweep's eigenfunction distances are h-weighted l2 norms
+("q": 2).  The scripts in demos/ tell each scenario's story end to end.
 
 Exit codes: 0 success / assumption holds; 2 bad config or arguments, or a
 sweep in which no penalty gave a valid row; 3 trivial limit (no eigenpair);
@@ -161,15 +162,13 @@ def cmd_sweep(args) -> int:
         report["vanishing_status"] = "insufficient_data"
     if oracle is not None:
         try:
-            cmp_ = compare_to_limit(records, oracle, q=args.q)
-            report.update({
-                "trivial": False, "mu_inf": oracle.mu_inf, "mu_gap": cmp_.mu_gap,
-                "op_gap_max": cmp_.op_gap_max, "eig_dist_max": cmp_.eig_dist_max,
-                "q": cmp_.q,
-            })
+            cmp_ = compare_to_limit(records, oracle)
+            report.update({"trivial": False, "mu_inf": oracle.mu_inf, "mu_gap": cmp_.mu_gap,
+                           "op_gap_max": cmp_.op_gap_max, "eig_dist_max": cmp_.eig_dist_max,
+                           "q": 2.0})
         except InsufficientData:
             report.update({"trivial": False, "mu_inf": oracle.mu_inf, "mu_gap": None,
-                           "op_gap_max": None, "eig_dist_max": None, "q": args.q})
+                           "op_gap_max": None, "eig_dist_max": None, "q": 2.0})
         except TrivialLimitComparison as exc:
             report.update({"trivial": True, "mu_inf": None,
                            "p_norm_decay": [[lam, v] for lam, v in exc.decay]})
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list; 'a:b:xF' ramps geometrically")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--q", type=float, default=2.0)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("kernel", help="kernel matrix and Gaussian envelope")

@@ -64,7 +64,6 @@ __all__ = [
     "distinct_steps",
     "evolve_state",
     "column_workers",
-    "iter_states",
     "mild_solution",
     "energy_report",
     "discrete_v_norm_sq",
@@ -356,38 +355,30 @@ def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level:
     return w
 
 
-def iter_states(F: StepFactorization, w: np.ndarray, forcing: ForcingField | None = None):
-    """Yield the states of one vector w at levels 0..M, w itself first.
-
-    With a forcing, step j adds dt f^{j+1} to its right-hand side; without
-    one the steps are the homogeneous step maps.  The steps overwrite one
-    copy of w, and every state after w is yielded as a new copy of it; w
-    itself is never written.
-    """
-    f = None if forcing is None else forcing.values[1:-1]
-    dt = F.tgrid.dt
-    yield w
-    b = np.array(w, dtype=float)
-    step = _stepper(F, b)
-    for j in range(F.M):
-        if f is not None:
-            b += dt * f[:, j + 1]
-        step(j)
-        yield b.copy()
-
-
 def mild_solution(F: StepFactorization, u0: np.ndarray,
                   forcing: ForcingField | None = None) -> np.ndarray:
     """Solve the forced problem forward from u0 at level 0 over one period.
 
     Returns the states u^0..u^M as the rows of an (M+1, n) array, row j at
     level j.  They equal the homogeneous evolution plus the discrete
-    variation-of-constants sum of the per-step solves.
+    variation-of-constants sum of the per-step solves.  One copy of u0 is
+    stepped in place (step j first adds dt f^{j+1}) and copied into row j + 1.
     """
     w = _check_state(F, u0)
     if w.ndim != 1:
         raise DimensionMismatch("mild_solution expects a single state vector")
-    return np.array(list(iter_states(F, w, forcing)))
+    f = None if forcing is None else forcing.values[1:-1]
+    dt = F.tgrid.dt
+    states = np.empty((F.M + 1, F.n))
+    states[0] = w
+    b = np.array(w)
+    step = _stepper(F, b)
+    for j in range(F.M):
+        if f is not None:
+            b += dt * f[:, j + 1]
+        step(j)
+        states[j + 1] = b
+    return states
 
 
 def discrete_v_norm_sq(spec: ProblemSpec, u: np.ndarray) -> float:

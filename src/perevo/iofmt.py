@@ -8,10 +8,10 @@ matters).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-import tempfile
 
 import numpy as np
 
@@ -24,10 +24,18 @@ def fmt(x) -> str:
 
 
 def atomic_write(path: str, data: str):
-    """Write text through a temp file and rename, so readers never see partials."""
+    """Write text through a temp file and rename, so readers never see partials;
+    the file gets the mode a plain open() gives under the umask."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    stem = os.path.join(directory, f".tmp-{os.getpid()}-")
+    for k in itertools.count():
+        tmp = f"{stem}{k}"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:  # another writer's temp file
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(data)

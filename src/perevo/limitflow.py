@@ -3,7 +3,7 @@
 A sweep runs the spectral solver over an ascending list of penalties and
 records, per penalty, the eigenvalue, the eigenfunction mass sitting on the
 strongly penalized region, and (when available) distances to an independent
-limit construction.
+limit construction, per level in the h-weighted l2 norm.
 
 The limit oracle poses the lambda -> infinity problem on the weight's own
 vanishing set, cylindrical or not: the solution may live only on the nodes
@@ -191,34 +191,31 @@ def _spacetime_normalize(samples: np.ndarray, h: float, wt: np.ndarray) -> np.nd
     return samples / math.sqrt(total)
 
 
-def _row_lq_norms(X: np.ndarray, h: float, q: float) -> np.ndarray:
-    """Discrete l^q norm of every row of a matrix.
+def _row_l2_norms(X: np.ndarray, h: float) -> np.ndarray:
+    """h-weighted l2 norm of every row of a matrix.
 
     The row sums reduce the contiguous last axis of a C-ordered array, which
     numpy sums pairwise row by row exactly as a 1-D np.sum would (a
     Fortran-ordered matrix would be summed column by column instead).  The
-    q-th root stays a float64 scalar power: the array power takes other paths
-    (sqrt for q = 2, SIMD pow) that can differ in the last bit.
+    square root stays a float64 scalar power: np.sqrt can differ from it in
+    the last bit.
     """
-    if math.isinf(q):
-        return np.abs(X).max(axis=1)
-    sums = h * np.sum(np.abs(np.ascontiguousarray(X)) ** q, axis=1)
-    return np.array([s ** (1.0 / q) for s in sums])
+    sums = h * np.sum(np.abs(np.ascontiguousarray(X)) ** 2.0, axis=1)
+    return np.array([s ** 0.5 for s in sums])
 
 
-def _aligned_units(X: np.ndarray, h: float, q: float) -> np.ndarray:
-    """Rows scaled to unit l^q norm (zero rows kept), each signed so that its
-    largest-magnitude entry is positive."""
-    nrm = _row_lq_norms(X, h, q)
+def _aligned_units(X: np.ndarray, h: float) -> np.ndarray:
+    """Rows scaled to unit h-weighted l2 norm (zero rows kept), each signed so
+    that its largest-magnitude entry is positive."""
+    nrm = _row_l2_norms(X, h)
     U = X / np.where(nrm == 0, 1.0, nrm)[:, None]
     rows = np.arange(U.shape[0])
     peak = U[rows, np.abs(U).argmax(axis=1)]
     return np.where((peak < 0)[:, None], -U, U)
 
 
-def _eig_distances(samples_a: np.ndarray, samples_b: np.ndarray, h: float,
-                   q: float) -> np.ndarray:
-    return _row_lq_norms(_aligned_units(samples_a, h, q) - _aligned_units(samples_b, h, q), h, q)
+def _eig_distances(samples_a: np.ndarray, samples_b: np.ndarray, h: float) -> np.ndarray:
+    return _row_l2_norms(_aligned_units(samples_a, h) - _aligned_units(samples_b, h), h)
 
 
 def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
@@ -270,7 +267,7 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
             mass = float(np.sum(wt[None, :] * h * (u.T ** 2) * seps))
         dist = math.nan
         if oracle_samples is not None:
-            dist = float(_eig_distances(u, oracle_samples, h, 2.0).max())
+            dist = float(_eig_distances(u, oracle_samples, h).max())
         return SweepRecord(lam, res.r, res.mu, res.residual, mass, dist,
                            False, True, res.iterations, P.P, u)
 
@@ -322,10 +319,9 @@ class ConvergenceReport:
     op_gap_max: float
     eig_dists: np.ndarray
     eig_dist_max: float
-    q: float
 
 
-def compare_to_limit(records, lim: LimitMonodromy, q: float = 2.0) -> ConvergenceReport:
+def compare_to_limit(records, lim: LimitMonodromy) -> ConvergenceReport:
     """Compare the largest-penalty record against the limit oracle.
 
     Raises TrivialLimitComparison (carrying the max-entry decay of the
@@ -345,8 +341,8 @@ def compare_to_limit(records, lim: LimitMonodromy, q: float = 2.0) -> Convergenc
     op_gap = float(np.abs(rec.monodromy - lim.Pinf).max())
     h = lim.spec.grid.h
     oracle_samples = lim.eigenfunction_samples()
-    dists = _eig_distances(rec.eigenfunction, oracle_samples, h, q)
-    return ConvergenceReport(rec.lam, mu_gap, op_gap, dists, float(dists.max()), q)
+    dists = _eig_distances(rec.eigenfunction, oracle_samples, h)
+    return ConvergenceReport(rec.lam, mu_gap, op_gap, dists, float(dists.max()))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoConvergence, TrivialLimit
-from .evolve import StepFactorization, evolve_state, iter_states, prepare
+from .evolve import StepFactorization, evolve_state, mild_solution, prepare
 from .model import ProblemSpec
 
 __all__ = [
@@ -152,14 +152,15 @@ class PeriodicEigenfunction:
     """Samples u(t_j) of the periodic eigenfunction, one row per level."""
 
     samples: np.ndarray
-    mu: float
     defect: float
 
 
 def periodic_samples(F: StepFactorization, w: np.ndarray, mu: float) -> np.ndarray:
     """Rows u(t_j) = exp(mu t_j) * (evolution of w from level 0 to j), j = 0..M."""
-    dt = F.tgrid.dt
-    return np.array([math.exp(mu * j * dt) * state for j, state in enumerate(iter_states(F, w))])
+    samples = mild_solution(F, w)
+    for j, row in enumerate(samples):
+        row *= math.exp(mu * j * F.tgrid.dt)
+    return samples
 
 
 def periodic_eigenfunction(F: StepFactorization, res: SpectralResult) -> PeriodicEigenfunction:
@@ -174,4 +175,4 @@ def periodic_eigenfunction(F: StepFactorization, res: SpectralResult) -> Periodi
     h = F.spec.grid.h
     num = math.sqrt(h * float((samples[-1] - samples[0]) @ (samples[-1] - samples[0])))
     den = math.sqrt(h * float(samples[0] @ samples[0]))
-    return PeriodicEigenfunction(samples, res.mu, num / den if den > 0 else 0.0)
+    return PeriodicEigenfunction(samples, num / den if den > 0 else 0.0)

@@ -48,21 +48,44 @@ def interval_heat_kernel(x, y, tau, x_lo, x_hi, terms=60):
 
 def dense_step_matrix(spec, lam, j):
     """Dense I + dt (A + lam m) at level j, written entry by entry from the flux
-    form with arithmetic-mean face coefficients (Dirichlet ends only)."""
-    assert spec.bc.side("left") == spec.bc.side("right") == "dirichlet"
+    form with arithmetic-mean face coefficients.
+
+    Row k is -(F_e - F_w) / h + b (u_{k+1} - u_{k-1}) / (2h) + (c0 + lam m) u_k,
+    with F = D u' + a u through a face: F_e = d_e (u_{k+1} - u_k) / h
+    + a_e (u_k + u_{k+1}) / 2, and F_w alike.  A Dirichlet end contributes its
+    zero boundary value.  At a flux end the boundary relation
+    (D u' + a u) nu + b0 u = 0, nu = -1 at x_lo and +1 at x_hi, gives the
+    outer face's flux, b0 u_1 at x_lo and -b0 u_n at x_hi, and the
+    difference for b u' reads the end node's own value in place of the
+    boundary value.
+    """
     n, h, dt = spec.grid.n, spec.grid.h, spec.tgrid.dt
     D, a, b, c0 = (f[:, j] for f in (spec.coeff.D, spec.coeff.a, spec.coeff.b, spec.coeff.c0))
     m = spec.weight.values[:, j]
+    flux_left = spec.bc.side("left") != "dirichlet"
+    flux_right = spec.bc.side("right") != "dirichlet"
     L = np.eye(n)
-    for row in range(n):
-        k = row + 1  # node index including the left endpoint
+    for k in range(1, n + 1):  # node index including the left endpoint
         d_w, d_e = (D[k - 1] + D[k]) / 2, (D[k] + D[k + 1]) / 2
         a_w, a_e = (a[k - 1] + a[k]) / 2, (a[k] + a[k + 1]) / 2
-        L[row, row] += dt * ((d_w + d_e) / h**2 + (a_w - a_e) / (2 * h) + c0[k] + lam * m[k])
-        if row > 0:
-            L[row, row - 1] = dt * (-d_w / h**2 + a_w / (2 * h) - b[k] / (2 * h))
-        if row < n - 1:
-            L[row, row + 1] = dt * (-d_e / h**2 - a_e / (2 * h) + b[k] / (2 * h))
+        # each term as {node: coefficient}; nodes 0 and n + 1 are the ends
+        west = {k - 1: -d_w / h + a_w / 2, k: d_w / h + a_w / 2}
+        east = {k: -d_e / h + a_e / 2, k + 1: d_e / h + a_e / 2}
+        before, after = k - 1, k + 1
+        if k == 1 and flux_left:
+            west, before = {k: spec.bc.b0_left}, k
+        if k == n and flux_right:
+            east, after = {k: -spec.bc.b0_right}, k
+        row = {k: c0[k] + lam * m[k]}
+        for node, coef in east.items():
+            row[node] = row.get(node, 0.0) - coef / h
+        for node, coef in west.items():
+            row[node] = row.get(node, 0.0) + coef / h
+        row[after] = row.get(after, 0.0) + b[k] / (2 * h)
+        row[before] = row.get(before, 0.0) - b[k] / (2 * h)
+        for node, coef in row.items():
+            if 1 <= node <= n:
+                L[k - 1, node - 1] += dt * coef
     return L
 
 
@@ -229,12 +252,11 @@ def counterexample_pieces(spec):
     ]
 
 
-def eig_distances_loop(samples_a, samples_b, h, q):
-    """Row-by-row l^q distance between sign-aligned unit rows (zero rows kept)."""
+def eig_distances_loop(samples_a, samples_b, h):
+    """Row-by-row h-weighted l2 distance between sign-aligned unit rows (zero
+    rows kept)."""
     def norm(v):
-        if math.isinf(q):
-            return float(np.abs(v).max())
-        return float((h * np.sum(np.abs(v) ** q)) ** (1.0 / q))
+        return float((h * np.sum(np.abs(v) ** 2.0)) ** 0.5)
 
     def aligned(v):
         nrm = norm(v)

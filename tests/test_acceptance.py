@@ -121,7 +121,7 @@ def test_criterion_03_monotonicity(du_peng_acceptance, staircase_acceptance):
 
 def test_criterion_04_du_peng_limit(du_peng_acceptance):
     spec, oracle, records, elapsed = du_peng_acceptance
-    rep = compare_to_limit(records, oracle, q=2.0)
+    rep = compare_to_limit(records, oracle)
     from_below = all(r.mu <= oracle.mu_inf + 1e-10 for r in records if r.valid)
     ok = (rep.mu_gap <= 0.05 * oracle.mu_inf and from_below
           and rep.eig_dist_max <= 0.05 and elapsed < 60.0)

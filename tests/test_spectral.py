@@ -8,10 +8,10 @@ import perevo
 from dgtsv_hook import hook_dgtsv
 from perevo import evolve
 from perevo.errors import NoConvergence, TrivialLimit
-from perevo.evolve import evolve_state, prepare
+from perevo.evolve import ForcingField, evolve_state, mild_solution, prepare
 from perevo.model import box_weight
 from perevo.spectral import (MonodromyMatrix, eigengap, monodromy, periodic_eigenfunction,
-                             principal_pair, spectral_radius)
+                             periodic_samples, principal_pair, spectral_radius)
 
 
 def _mat(P, h=0.1, T=1.0):
@@ -55,10 +55,10 @@ def test_monodromy_matches_dense_product(heat_unit):
     assert P.positivity
 
 
-def _random_dirichlet(rng, n, M):
-    """A seeded random Dirichlet problem inside the mesh-Peclet bound: D
-    varying in x and t, a constant drift a, b varying in t, c0 >= 0 varying
-    in x and t, and the indicator of a random box as the weight."""
+def _random_problem(rng, n, M, bc=perevo.BoundarySpec("dirichlet")):
+    """A seeded random problem inside the mesh-Peclet bound: D varying in x
+    and t, a constant drift a, b varying in t, c0 >= 0 varying in x and t,
+    and the indicator of a random box as the weight."""
     grid, tgrid = perevo.Grid1D(0.0, 1.0, n), perevo.TimeGrid(1.0, M)
     d0, d1, kx = rng.uniform(0.5, 1.5), rng.uniform(0.0, 0.4), rng.uniform(0.0, 6.0)
     drift = (d0 - d1) * (n + 1)  # times h: at most alpha, the smallest D
@@ -68,36 +68,95 @@ def _random_dirichlet(rng, n, M):
         b=lambda x, t: b0 * np.cos(2 * math.pi * t), c0=lambda x, t: c * (1 + np.sin(3 * x - t)))
     x1, x2, t1, t2 = (*np.sort(rng.uniform(0, 1, 2)), *np.sort(rng.uniform(0, 1, 2)))
     weight = perevo.make_weight(grid, tgrid, box_weight(grid, tgrid, x1, x2, t1, t2))
-    return perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"), weight)
+    return perevo.make_problem(grid, tgrid, coeff, bc, weight)
+
+
+def _random_bc(rng, kind):
+    """Boundary data of one kind; Robin ends get b0 in (0.1, 5), and mixed
+    ends two different kinds among dirichlet, neumann and robin."""
+    if kind != "mixed":
+        b0 = rng.uniform(0.1, 5.0, 2) if kind == "robin" else (0.0, 0.0)
+        return perevo.BoundarySpec(kind, *b0)
+    left, right = rng.permutation(["dirichlet", "neumann", "robin"])[:2].tolist()
+    b0 = [rng.uniform(0.1, 5.0) if side == "robin" else 0.0 for side in (left, right)]
+    return perevo.BoundarySpec("mixed", *b0, kind_left=left, kind_right=right)
+
+
+def _check_period_map(F, rng, monkeypatch, tol):
+    """The map must be the dense product of the step solves to tol relative,
+    the same bits serially and split, and a vector's evolution the matching
+    column."""
+    n, M = F.n, F.M
+    ref = oracles.dense_period_map(F)
+    monkeypatch.setattr(evolve, "column_workers", lambda: 1)
+    serial = monodromy(F).P
+    monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+    with monkeypatch.context() as m:
+        calls = hook_dgtsv(m)
+        split = monodromy(F).P
+    blocks = {n} if n < 2 * evolve.BLOCK_MIN_COLUMNS else {n // 2, n - n // 2}
+    assert {nrhs for nrhs, _ in calls} == blocks
+    assert split.tobytes() == serial.tobytes()
+    err = np.abs(serial - ref).max() / np.abs(ref).max()
+    assert err <= tol, (n, M, F.lam, F.spec.bc, err)
+    col = int(rng.integers(n))
+    assert evolve_state(F, np.eye(n)[col], 0, M).tobytes() == serial[:, col].tobytes()
 
 
 def test_period_maps_match_dense_products_on_random_problems(monkeypatch):
     # n and M in 2..39, plus n = 64 and n = 100, which step as two column
-    # blocks when two workers are allowed; the map must be the dense product
-    # of the step solves, the same bits serially and split, and a vector's
-    # evolution the matching column
+    # blocks when two workers are allowed
     rng = np.random.default_rng(1414)
     shapes = [tuple(rng.integers(2, 40, 2).tolist()) for _ in range(30)]
     shapes += [(64, int(rng.integers(2, 40))), (100, int(rng.integers(2, 40)))]
     for n, M in shapes:
-        spec = _random_dirichlet(rng, n, M)
+        spec = _random_problem(rng, n, M)
         for lam in (0.0, 1e2, 1e4):
             F = prepare(spec, lam)
             assert F.positivity and F.peclet_ok
-            ref = oracles.dense_period_map(F)
-            monkeypatch.setattr(evolve, "column_workers", lambda: 1)
-            serial = monodromy(F).P
-            monkeypatch.setattr(evolve, "column_workers", lambda: 2)
-            with monkeypatch.context() as m:
-                calls = hook_dgtsv(m)
-                split = monodromy(F).P
-            blocks = {n} if n < 2 * evolve.BLOCK_MIN_COLUMNS else {n // 2, n - n // 2}
-            assert {nrhs for nrhs, _ in calls} == blocks
-            assert split.tobytes() == serial.tobytes()
-            err = np.abs(serial - ref).max() / np.abs(ref).max()
-            assert err <= 1e-13, (n, M, lam, err)
-            col = int(rng.integers(n))
-            assert evolve_state(F, np.eye(n)[col], 0, M).tobytes() == serial[:, col].tobytes()
+            _check_period_map(F, rng, monkeypatch, 1e-13)
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
+def test_period_maps_match_dense_products_on_every_boundary_kind(kind, monkeypatch):
+    # the dense step matrices write the flux-end rows from the boundary
+    # relation.  A flux end with strong drift may lose the positivity
+    # certificate, which this comparison does not need, and makes the step
+    # matrices worse conditioned: both products then carry the forward error
+    # of M solves, about M * cond(L_j) * eps (the two differed by up to 3
+    # times that over 240 seeded draws)
+    rng = np.random.default_rng(["dirichlet", "neumann", "robin", "mixed"].index(kind) + 2323)
+    shapes = [tuple(rng.integers(2, 40, 2).tolist()) for _ in range(8)]
+    shapes += [(64, int(rng.integers(2, 40)))]
+    for n, M in shapes:
+        spec = _random_problem(rng, n, M, _random_bc(rng, kind))
+        for lam in (0.0, 1e2, 1e4):
+            F = prepare(spec, lam)
+            assert F.peclet_ok
+            cond = max(np.linalg.cond(oracles.dense_step_matrix(spec, lam, j + 1), 1)
+                       for j in range(M))
+            _check_period_map(F, rng, monkeypatch, 10 * M * cond * np.finfo(float).eps)
+
+
+def test_mild_solution_and_periodic_samples_on_random_problems():
+    # one loop records every trajectory: forced states against one dense
+    # space-time solve, and the periodic samples scaled bit for bit
+    rng = np.random.default_rng(2424)
+    for _ in range(6):
+        n, M = (int(v) for v in rng.integers(2, 16, 2))
+        spec = _random_problem(rng, n, M)
+        F = prepare(spec, float(rng.choice([0.0, 1e2, 1e4])))
+        forcing = ForcingField(rng.standard_normal((n + 2, M + 1)))
+        u0 = rng.standard_normal(n)
+        states = mild_solution(F, u0, forcing)
+        ref = np.array(oracles.dense_spacetime_trajectory(F, u0, forcing.values))
+        assert states.shape == (M + 1, n)
+        assert np.abs(states - ref).max() <= 1e-12 * np.abs(ref).max()
+        w, mu, dt = np.abs(u0), rng.uniform(-5.0, 5.0), spec.tgrid.dt
+        samples = periodic_samples(F, w, mu)
+        for j in range(M + 1):
+            assert samples[j].tobytes() == \
+                (math.exp(mu * j * dt) * evolve_state(F, w, 0, j)).tobytes()
 
 
 def test_monodromy_spectrum_closed_form(heat_small):
