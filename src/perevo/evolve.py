@@ -271,10 +271,14 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     peclet = mesh_peclet_ok(spec)
     m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
     dominant = np.all(1.0 + dt * (lower[used] + diag[used] + upper[used] + lam * w[used]) > 0.0)
+    positivity = bool(m_pattern and dominant)
     if not peclet:
         warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
                       "sign pattern and positivity are not certified", stacklevel=2)
-    return StepFactorization(spec, float(lam), rows, bool(m_pattern and dominant), peclet, active)
+    elif not positivity:
+        warnings.warn("positivity not certified: a step matrix is not an M-matrix with "
+                      "positive row sums; the period map may have negative entries", stacklevel=2)
+    return StepFactorization(spec, float(lam), rows, positivity, peclet, active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:

@@ -218,15 +218,14 @@ def _eig_distances(samples_a: np.ndarray, samples_b: np.ndarray, h: float) -> np
     return _row_l2_norms(_aligned_units(samples_a, h) - _aligned_units(samples_b, h), h)
 
 
-def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
-          max_iter: int = 20000, oracle: LimitMonodromy | None = None):
+def sweep(spec: ProblemSpec, lambdas, eps: float, oracle: LimitMonodromy | None = None):
     """One record per penalty value, ascending; failures do not stop the sweep.
 
     The eigenfunction is normalized to unit space-time l2 mass before its
     share on the strongly penalized region {weight >= eps} is measured.  A
     penalty whose step matrix is singular or whose power iteration does not
-    converge gives an invalid record and a warning; a non-converged record
-    keeps the last r estimate and residual.  Violations of eigenvalue
+    converge (spectral_radius's default rule) gives an invalid record and a
+    warning; a non-converged record keeps the last r estimate and residual.  Violations of eigenvalue
     monotonicity beyond rounding slack are reported as warnings.
     """
     lambdas = [float(v) for v in lambdas]
@@ -250,7 +249,7 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, tol: float = 1e-10,
         try:
             F = prepare(spec, lam)
             P = monodromy(F)
-            res = spectral_radius(P, tol=tol, max_iter=max_iter)
+            res = spectral_radius(P)
         except (NoConvergence, SingularStep) as exc:
             warnings.warn(f"penalty {lam:g}: {exc}", stacklevel=3)
             stalled = isinstance(exc, NoConvergence)
@@ -300,11 +299,10 @@ def classify_divergent(records) -> bool:
         return False
     target = last.lam / 10.0
     prev = min((r for r in valid[:-1] if r.lam > 0),
-               key=lambda r: abs(math.log(r.lam / target)) if r.lam > 0 else math.inf,
-               default=None)
+               key=lambda r: abs(math.log(r.lam / target)), default=None)
     if prev is None:
         return False
-    decades = math.log10(last.lam / prev.lam) if prev.lam > 0 else 1.0
+    decades = math.log10(last.lam / prev.lam)
     if decades <= 0:
         return False
     return (last.mu - prev.mu) / decades > DIVERGENCE_THRESHOLD

@@ -42,6 +42,7 @@ __all__ = [
 #: chosen as an underflow guard, far below any resolvable eigenvalue
 R_FLOOR = 1e-250
 
+#: the one stopping rule every caller above spectral_radius runs power iteration to
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 20000
 
@@ -140,11 +141,9 @@ def spectral_radius(P: MonodromyMatrix, tol: float = DEFAULT_TOL,
     return SpectralResult(P.lam, float(r), float(mu), w, float(resid), iterations, False)
 
 
-def principal_pair(spec: ProblemSpec, lam: float, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
-    """Convenience composition: prepare, build the period map, power-iterate."""
-    F = prepare(spec, lam)
-    return spectral_radius(monodromy(F), tol=tol, max_iter=max_iter)
+def principal_pair(spec: ProblemSpec, lam: float) -> SpectralResult:
+    """Prepare, build the period map and power-iterate it to the default rule."""
+    return spectral_radius(monodromy(prepare(spec, lam)))
 
 
 @dataclass(frozen=True)

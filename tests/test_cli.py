@@ -40,6 +40,15 @@ def _cfg(tmp_path, weight="0.0", extra=""):
     return str(p)
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports this perevo; return the finished process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(perevo.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
 def test_eigen_writes_results(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["eigen", "heat_baseline", "--lambda", "0", "--out", str(out)])
@@ -52,14 +61,50 @@ def test_eigen_writes_results(tmp_path, capsys):
     assert manifest["command"] == "eigen" and len(manifest["digest"]) == 64
 
 
-def test_eigen_without_convergence_writes_a_manifest(tmp_path, capsys):
+def test_eigen_without_convergence_writes_a_manifest(tmp_path, capsys, stall_cfg):
     out = tmp_path / "out"
-    assert main(["eigen", "heat_baseline", "--max-iter", "1", "--out", str(out)]) == 4
-    assert "no convergence" in capsys.readouterr().err
-    assert json.loads((out / "spectral_result.json").read_text())["converged"] is False
+    with pytest.warns(UserWarning, match="positivity not certified"):
+        assert main(["eigen", stall_cfg, "--out", str(out)]) == 4
+    assert "no convergence within 20000 iterations" in capsys.readouterr().err
+    result = json.loads((out / "spectral_result.json").read_text())
+    assert result["converged"] is False and result["iterations"] == 20000
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "eigen" and manifest["outputs"] == ["spectral_result.json"]
-    assert manifest["digest"] == perevo.builtin_scenario("heat_baseline").digest()
+    assert manifest["digest"] == perevo.build_problem(stall_cfg).digest()
+
+
+FLUX = """
+[grid]
+x_lo = 0.0
+x_hi = 1.0
+n = 12
+[time]
+T = 1.0
+M = 12
+[coefficients]
+D = 1.0
+a = 12.0
+b = 12.0
+[boundary]
+bc = neumann
+[weight]
+weight = const(0)
+"""
+
+
+def test_eigen_warns_when_positivity_is_not_certified(tmp_path):
+    # Neumann ends with drift inside the mesh-Peclet bound: the period map
+    # has negative entries, and the run succeeds but says so on stderr
+    cfg = tmp_path / "flux.cfg"
+    cfg.write_text(FLUX)
+    done = _fresh_python("-m", "perevo.cli", "eigen", str(cfg), "--out", str(tmp_path / "o"))
+    assert done.returncode == 0, done.stderr
+    assert "UserWarning: positivity not certified" in done.stderr
+    assert "mu=9.0378" in done.stdout
+    with pytest.warns(UserWarning, match="positivity not certified"):
+        F = perevo.prepare(perevo.build_problem(str(cfg)), 0.0)
+    assert F.peclet_ok and not F.positivity
+    assert perevo.monodromy(F).P.min() < 0
 
 
 def test_eigen_trivial_limit_exit_3(tmp_path):
@@ -97,11 +142,12 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
 
 
 def test_seed_and_config_options_exit_2(tmp_path, capsys):
-    # the target is the one way to name a problem, and nothing is seeded
+    # the target is the one way to name a problem, nothing is seeded, and
+    # power iteration has one stopping rule
     out = ["--out", str(tmp_path / "o")]
     for argv in (["eigen", "du_peng"], ["sweep", "du_peng"], ["check", "du_peng"],
                  ["kernel", "du_peng", "--s", "0", "--t", "0.5"]):
-        for option in ("--seed", "--config"):
+        for option in ("--seed", "--config", "--tol", "--max-iter"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, option, "1", *out])
             assert exc.value.code == 2
@@ -175,18 +221,20 @@ def test_sweep_with_a_nilpotent_hard_wall_map_is_trivial(tmp_path):
     assert rep["mu_inf"] is None
 
 
-def test_sweep_without_a_valid_row_writes_its_report(tmp_path, capsys):
+def test_sweep_without_a_valid_row_writes_its_report(tmp_path, capsys, stall_cfg):
     out = tmp_path / "o"
-    with pytest.warns(UserWarning, match="did not converge"):
-        rc = main(["sweep", "du_peng", "--lambdas", "1,10", "--tol", "1e-300",
-                   "--out", str(out)])
+    with pytest.warns(UserWarning, match="positivity not certified"), \
+            pytest.warns(UserWarning, match="did not converge"):
+        rc = main(["sweep", stall_cfg, "--lambdas", "1", "--out", str(out)])
     assert rc == 2
     assert "no penalty gave a valid row" in capsys.readouterr().err
     report = json.loads((out / "convergence_report.json").read_text())
     assert list(report) == ["lambda_max", "divergent", "n_records", "vanishing_slope",
                             "vanishing_status", "trivial", "mu_inf", "mu_gap", "op_gap_max",
                             "eig_dist_max", "q"]
-    assert report["mu_inf"] == pytest.approx(24.32, abs=0.01)
+    with pytest.warns(UserWarning, match="positivity not certified"):
+        lim = perevo.limit_monodromy(perevo.build_problem(stall_cfg))
+    assert report["mu_inf"] == lim.mu_inf
     assert report["mu_gap"] is report["op_gap_max"] is report["eig_dist_max"] is None
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "convergence_report.json" in manifest["outputs"]
@@ -281,11 +329,7 @@ def test_check_leaves_scipy_ndimage_unimported(tmp_path):
             "assert 'scipy.ndimage' not in sys.modules, 'after import perevo'\n"
             "assert cli.main(['check', 'counterexample', '--out', sys.argv[1]]) == 6\n"
             "assert 'scipy.ndimage' not in sys.modules, 'after perevo check'\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(perevo.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "o")], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = _fresh_python("-c", code, str(tmp_path / "o"))
     assert done.returncode == 0, done.stderr
 
 

@@ -7,11 +7,12 @@ import pytest
 import oracles
 import perevo
 from perevo import evolve, limitflow
-from perevo.errors import InsufficientData, InvariantError, SingularStep, TrivialLimitComparison
+from perevo.errors import (InsufficientData, InvariantError, NoConvergence, SingularStep,
+                           TrivialLimitComparison)
 from perevo.evolve import evolve_state, prepare
 from perevo.limitflow import (classify_divergent, compare_to_limit, du_peng_pieces,
                               limit_monodromy, sweep, vanishing_rate)
-from perevo.spectral import monodromy
+from perevo.spectral import monodromy, spectral_radius
 
 
 @pytest.fixture(scope="module")
@@ -233,17 +234,32 @@ def test_singular_step_stays_in_its_penalty():
     assert good.valid and good.mu == alone.mu and good.r == alone.r
 
 
-def test_no_convergence_row_keeps_estimates(dp_spec):
-    with pytest.warns(UserWarning, match="did not converge"):
-        (rec,) = sweep(dp_spec, [0.0], eps=0.5, max_iter=1)
+def test_no_convergence_row_keeps_estimates(stall_cfg, monkeypatch):
+    raised = []
+
+    def recording(P):
+        try:
+            return spectral_radius(P)
+        except NoConvergence as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(limitflow, "spectral_radius", recording)
+    with pytest.warns(UserWarning, match="positivity not certified"), \
+            pytest.warns(UserWarning, match="did not converge"):
+        (rec,) = sweep(perevo.build_problem(stall_cfg), [0.0], eps=0.5)
+    (exc,) = raised
     assert not rec.valid and math.isnan(rec.mu)
-    assert rec.r > 0 and rec.residual > 0
+    assert rec.r == exc.r_estimate < 0 and rec.residual == exc.residual > 0
 
 
-def test_penalty_warnings_point_at_the_caller(dp_spec):
-    with pytest.warns(UserWarning, match="did not converge") as caught:
-        sweep(dp_spec, [0.0, 1.0], eps=0.5, max_iter=1)
-    assert [w.filename for w in caught] == [__file__, __file__]
+def test_penalty_warnings_point_at_the_caller(stall_cfg):
+    spec = perevo.build_problem(stall_cfg)
+    with pytest.warns(UserWarning, match="positivity not certified"), \
+            pytest.warns(UserWarning, match="did not converge") as caught:
+        sweep(spec, [0.0, 1.0], eps=0.5)
+    assert [w.filename for w in caught if "did not converge" in str(w.message)] \
+        == [__file__, __file__]
 
 
 def test_sweep_builds_one_period_map_per_penalty(dp_spec, monkeypatch):

@@ -117,7 +117,12 @@ def test_period_maps_match_dense_products_on_random_problems(monkeypatch):
             _check_period_map(F, rng, monkeypatch, 1e-13)
 
 
-@pytest.mark.parametrize("kind", ["dirichlet", "neumann", "robin", "mixed"])
+# prepare warns on every draw whose flux end loses the positivity certificate
+_FLUX_END = pytest.mark.filterwarnings("ignore:positivity not certified:UserWarning")
+
+
+@pytest.mark.parametrize("kind", ["dirichlet", *(pytest.param(k, marks=_FLUX_END)
+                                                 for k in ("neumann", "robin", "mixed"))])
 def test_period_maps_match_dense_products_on_every_boundary_kind(kind, monkeypatch):
     # the dense step matrices write the flux-end rows from the boundary
     # relation.  A flux end with strong drift may lose the positivity
