@@ -16,8 +16,13 @@ and kernel add factored_steps, the number of distinct step matrices built
 at each penalty.  sweep's eigenfunction distances are h-weighted l2 norms
 ("q": 2).  The scripts in demos/ tell each scenario's story end to end.
 
+Files give r and residuals on the plain scale: a penalized period map below
+the range of float64 has r = 0.0 there, and mu stays exact (see
+spectral.MonodromyMatrix).
+
 Exit codes: 0 success / assumption holds; 2 bad config or arguments, or a
-sweep in which no penalty gave a valid row; 3 trivial limit (no eigenpair);
+sweep in which no penalty gave a valid row; 3 trivial limit (power iteration
+fell below spectral.R_FLOOR: no eigenpair);
 4 power iteration missed its one stopping rule, relative residual 1e-10 within
 20000 iterations; 5 Gaussian envelope violated; 6 path condition fails; 7
 irregular support or an empty slice.
@@ -91,13 +96,13 @@ def cmd_eigen(args) -> int:
     _audit(spec)
     F = prepare(spec, args.lam)
     code = 0
+    P = monodromy(F)
     try:
-        P = monodromy(F)
         res = spectral_radius(P)
     except NoConvergence as exc:
         iofmt.write_json(os.path.join(outdir, "spectral_result.json"), {
-            "lambda": args.lam, "r": exc.r_estimate, "mu": None,
-            "residual": exc.residual, "eigengap": None,
+            "lambda": args.lam, "r": math.ldexp(exc.r_estimate, -P.sigma), "mu": None,
+            "residual": math.ldexp(exc.residual, -P.sigma), "eigengap": None,
             "iterations": exc.max_iter, "trivial_limit": False,
             "converged": False,
         })
@@ -106,20 +111,22 @@ def cmd_eigen(args) -> int:
         return 4
     outputs = ["spectral_result.json"]
     iofmt.write_json(os.path.join(outdir, "spectral_result.json"), {
-        "lambda": res.lam, "r": res.r, "mu": res.mu, "residual": res.residual,
-        "eigengap": 0.0 if res.trivial else eigengap(P), "iterations": res.iterations,
-        "trivial_limit": res.trivial,
+        "lambda": res.lam, "r": math.ldexp(res.r, -res.sigma), "mu": res.mu,
+        "residual": math.ldexp(res.residual, -res.sigma),
+        "eigengap": 0.0 if res.trivial else math.ldexp(eigengap(P), -P.sigma),
+        "iterations": res.iterations, "trivial_limit": res.trivial,
     })
     if res.trivial:
-        print("trivial limit: the period map is numerically nilpotent (r below floor)")
+        print("trivial limit: power iteration fell below the floor (no eigenpair)")
         code = 3
     else:
         eig = periodic_eigenfunction(F, res)
         iofmt.write_csv(os.path.join(outdir, "eigenfunction.csv"), ["t", "x", "u"],
                         trajectory_rows(eig.samples, spec))
         outputs.append("eigenfunction.csv")
-        print(f"lambda={res.lam:g}  r={res.r:.12g}  mu={res.mu:.12g}  "
-              f"residual={res.residual:.3e}  iterations={res.iterations}")
+        print(f"lambda={res.lam:g}  r={math.ldexp(res.r, -res.sigma):.12g}  mu={res.mu:.12g}  "
+              f"residual={math.ldexp(res.residual, -res.sigma):.3e}  "
+              f"iterations={res.iterations}")
     _manifest(outdir, "eigen", label, spec, outputs, t0, distinct_steps(spec))
     return code
 
@@ -137,8 +144,8 @@ def cmd_sweep(args) -> int:
         oracle = None
     records = sweep(spec, lambdas, args.eps, oracle=oracle)
 
-    rows = [(r.lam, r.r, r.mu, r.residual, r.s_eps_mass, r.dist_to_limit_L2,
-             str(bool(r.trivial)).lower()) for r in records]
+    rows = [(r.lam, math.ldexp(r.r, -r.sigma), r.mu, math.ldexp(r.residual, -r.sigma),
+             r.s_eps_mass, r.dist_to_limit_L2, str(bool(r.trivial)).lower()) for r in records]
     iofmt.write_csv(os.path.join(outdir, "sweep.csv"),
                     ["lambda", "r", "mu", "residual", "s_eps_mass",
                      "dist_to_limit_L2", "trivial"], rows)

@@ -30,12 +30,26 @@ evolution steps one Fortran-ordered copy of its state in place, and every
 step is one LAPACK dgtsv solve across all columns at once, on a copy of the
 rows of L_j (dgtsv overwrites the rows it is given).  dgtsv is called
 through the function pointer that scipy.linalg.cython_lapack exports, with
-ctypes, which releases the GIL for the call.  The columns of a matrix state
-evolve independently, so a wide matrix is cut into contiguous column blocks,
-views of that one buffer, that step concurrently on the CPUs the process may
-use, each with its own copy of the rows.  Each column sees the same
-arithmetic as it would alone, so the result has the same bits and the same
-memory order either way.
+ctypes, which releases the GIL for the call.  A matrix state steps in a
+buffer whose columns start n | 1 numbers apart: at a power-of-two stride
+every column of a block maps to the same few L1 cache sets.  The columns of
+a matrix state evolve independently, so a wide matrix is cut into contiguous
+column blocks, views of that one buffer, that step concurrently on the CPUs
+the process may use, each with its own copy of the rows.  Each column sees
+the same arithmetic as it would alone, so the result has the same bits and
+the same memory order either way.
+
+A penalized state decays like (1 + dt lam)^-j and leaves the range of
+float64 at large penalties, through slow subnormal arithmetic to exact
+zeros.  evolve_rescaled keeps it in range: once a column block's largest
+|entry| falls below RESCALE_BELOW, the block is multiplied by a power of two
+and the exponent is added to the block's own sigma.  dgtsv is linear and a
+power of two scales every operation exactly, so the rescaled state is 2^sigma
+times the plain one, bit for bit wherever the plain one stays normal.  The
+largest |entry| shrinks by at most ||L_j||_inf in step j, so a block reads
+its max only when the sum of ln ||L_j||_inf since its last reading says it
+may have crossed the threshold.  Hard-wall steps zero the inactive nodes,
+which breaks that bound, so they are never rescaled.
 """
 
 from __future__ import annotations
@@ -63,8 +77,10 @@ __all__ = [
     "level_runs",
     "distinct_steps",
     "evolve_state",
+    "evolve_rescaled",
     "column_workers",
     "mild_solution",
+    "rescaled_trajectory",
     "energy_report",
     "discrete_v_norm_sq",
     "trajectory_rows",
@@ -105,6 +121,8 @@ class StepFactorization:
     positivity certifies that every step map is entrywise nonnegative: the
     off-diagonals are nonpositive at every level and every L_j has positive
     row sums (an M-matrix).
+    log_norms[j] is ln ||L_j||_inf: step j shrinks no state's largest |entry|
+    by more than that factor (evolve_rescaled).
     active is None, or the (M+1, n) hard-wall mask prepare() was given: step
     j then zeroes the state outside active[j+1] before it solves.
     _kernel_slot holds kernel.kernel_matrix's last evolved identity.
@@ -115,6 +133,7 @@ class StepFactorization:
     rows: tuple = field(repr=False)  # M entries: a repr would print every row
     positivity: bool
     peclet_ok: bool
+    log_norms: tuple = field(repr=False)
     active: np.ndarray | None = field(default=None, repr=False)
     _kernel_slot: list = field(default_factory=lambda: [None], init=False, repr=False,
                                compare=False)
@@ -169,21 +188,24 @@ def _dgtsv_args(bands: np.ndarray, b: np.ndarray):
     """dgtsv's arguments for solving in place in b's memory, with the rows
     (3n - 2 numbers, see StepFactorization) in bands, and its info.
 
-    b must be a contiguous vector of n numbers, or a Fortran-contiguous block
-    of n rows whose columns start n numbers apart (ldb = n), as every column
-    block of a Fortran-ordered state does; anything else raises
-    InvariantError, as dgtsv would read and write past its columns.  The
-    arguments point into bands and b, which must outlive their use."""
+    b must be a contiguous vector of n numbers, or a block of n rows whose
+    rows are contiguous and whose columns start ldb >= n numbers apart, as
+    every column block of a Fortran-ordered buffer with n or more rows is;
+    anything else raises InvariantError, as dgtsv would read and write past
+    its columns.  The arguments point into bands and b, which must outlive
+    their use."""
     n = b.shape[0]
+    ldb = n if b.ndim == 1 else b.strides[1] // 8
     if not (b.dtype == np.float64 and b.flags.writeable and b.strides[0] == 8
-            and (b.ndim == 1 or b.strides[1] == 8 * n)) or bands.shape != (3 * n - 2,):
-        raise InvariantError(f"dgtsv needs a contiguous vector or a Fortran block with ldb = {n}, "
+            and (b.ndim == 1 or (b.strides[1] % 8 == 0 and ldb >= n))) \
+            or bands.shape != (3 * n - 2,):
+        raise InvariantError(f"dgtsv needs a contiguous vector or a block with ldb >= {n}, "
                              f"got shape {b.shape}, strides {b.strides}, dtype {b.dtype}")
     at = bands.ctypes.data
     size, nrhs, info = ctypes.c_int(n), ctypes.c_int(1 if b.ndim == 1 else b.shape[1]), ctypes.c_int()
     args = (ctypes.byref(size), ctypes.byref(nrhs), ctypes.c_void_p(at),
             ctypes.c_void_p(at + 8 * (n - 1)), ctypes.c_void_p(at + 8 * (2 * n - 1)),
-            ctypes.c_void_p(b.ctypes.data), ctypes.byref(size), ctypes.byref(info))
+            ctypes.c_void_p(b.ctypes.data), ctypes.byref(ctypes.c_int(ldb)), ctypes.byref(info))
     return args, info
 
 
@@ -266,7 +288,13 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
         if info.value > 0:
             raise SingularStep(f"factorization failed at step {step}: zero pivot {info.value}")
     per_run = tuple(bands)
-    rows = tuple(per_run[r] for r in (run[1:] - run[1]).tolist())
+    row_sums = np.abs(d)  # of |L_j|, per run
+    row_sums[:, 1:] += np.abs(dl)
+    row_sums[:, :-1] += np.abs(du)
+    log_norm = np.log(row_sums.max(axis=1)).tolist()
+    step_runs = (run[1:] - run[1]).tolist()
+    rows = tuple(per_run[r] for r in step_runs)
+    log_norms = tuple(log_norm[r] for r in step_runs)
 
     peclet = mesh_peclet_ok(spec)
     m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
@@ -278,7 +306,7 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     elif not positivity:
         warnings.warn("positivity not certified: a step matrix is not an M-matrix with "
                       "positive row sums; the period map may have negative entries", stacklevel=2)
-    return StepFactorization(spec, float(lam), rows, positivity, peclet, active)
+    return StepFactorization(spec, float(lam), rows, positivity, peclet, log_norms, active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:
@@ -307,6 +335,79 @@ def _stepper(F: StepFactorization, b: np.ndarray):
     return step
 
 
+#: a rescaled evolution multiplies a state whose largest |entry| falls below
+#: this by a power of two.  2^-300 leaves 722 binades above the subnormals for
+#: a state's small entries, and the squares that power iteration's norms take
+#: of a map this small stay normal (at 2^-600 they underflow to 0).
+RESCALE_BELOW = 2.0 ** -300
+_LOG_RESCALE_BELOW = math.log(RESCALE_BELOW)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal float64
+LN2 = math.log(2.0)
+
+
+def _steps(F: StepFactorization, b: np.ndarray, from_level: int, to_level: int, rescale: bool):
+    """Step b in place (see _stepper) from from_level to to_level, yielding
+    sigma at the start and after each step: b then holds 2^sigma times the
+    state at that level.
+
+    sigma stays 0 unless rescale is set and F has no mask.  Then b's largest
+    |entry| m is read at the start and whenever the sum of log_norms since
+    the last reading exceeds ln(m / RESCALE_BELOW); a reading below
+    RESCALE_BELOW multiplies b by the power of two that brings m into
+    [1/2, 1) and adds its exponent to sigma.
+    """
+    step = _stepper(F, b)
+    log_norms, sigma = F.log_norms, 0
+
+    def reading():
+        # ln(m / RESCALE_BELOW) after rescaling, inf for a zero state
+        nonlocal sigma
+        m = float(np.max(np.abs(b), initial=0.0))
+        if 0.0 < m < RESCALE_BELOW:
+            e = -math.frexp(m)[1]
+            np.ldexp(b, e, out=b)
+            sigma += e
+            m = math.ldexp(m, e)
+        return math.log(m) - _LOG_RESCALE_BELOW if m > 0.0 else math.inf
+
+    room = reading() if rescale and F.active is None else math.inf
+    yield sigma
+    for j in range(from_level, to_level):
+        step(j)
+        room -= log_norms[j]
+        if room < 0.0:
+            room = reading()
+        yield sigma
+
+
+def _rebase(blocks: list, sigmas: list) -> int:
+    """Bring column blocks, block b holding 2^sigmas[b] times its states, to
+    one exponent sigma, in place, and return it.
+
+    sigma is 0 when the largest |entry| of the plain states is at least
+    RESCALE_BELOW; otherwise it brings that entry into [1/2, 1).  It depends
+    only on the states, not on how the columns were cut into blocks or when a
+    block was rescaled, so the rebased buffer has the same bits either way.
+    A column that was nonzero and falls below the normal range is counted,
+    and a warning gives the count.
+    """
+    peaks = [np.max(np.abs(block), axis=0, initial=0.0) for block in blocks]  # per column
+    # the largest plain |entry| is f * 2^top, f in [1/2, 1)
+    top = max((math.frexp(float(p.max()))[1] - s for p, s in zip(peaks, sigmas) if p.any()),
+              default=0)
+    sigma = 0 if math.ldexp(1.0, top) > RESCALE_BELOW else -top
+    lost = 0
+    for block, peak, s in zip(blocks, peaks, sigmas):
+        if s != sigma:
+            np.ldexp(block, sigma - s, out=block)
+            lost += int(np.count_nonzero((peak > 0.0) & (np.ldexp(peak, sigma - s) < _TINY)))
+    if lost:
+        warnings.warn(f"{lost} column(s) of the evolved state fell below the normal float range "
+                      f"when rescaled to one exponent (2^{sigma}); they carry less precision",
+                      stacklevel=4)
+    return sigma
+
+
 # Two 32-column blocks take 0.64-0.68 of the serial time of a du_peng period
 # map (n = 64) on an idle 2-CPU host; narrower blocks hand the GIL over more
 # often for the solve work between hand-offs.
@@ -321,42 +422,90 @@ def column_workers() -> int:
         return os.cpu_count() or 1
 
 
-def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
-    """Discrete evolution map applied to v (a vector, or a matrix of columns).
-
-    v is copied once into a Fortran-ordered buffer, which every step
-    overwrites and which is returned; v itself is never written.  A matrix
-    of at least 2 * BLOCK_MIN_COLUMNS columns steps as contiguous column
-    blocks of that buffer, one per usable CPU at most, each on its own
-    thread of a pool that lives as long as the evolution.  Anything else
-    steps on the calling thread.
-    """
+def _evolve(F: StepFactorization, v: np.ndarray, from_level: int, to_level: int,
+            rescale: bool) -> tuple:
+    """(state, sigma) of evolve_state and evolve_rescaled."""
     if from_level > to_level:
         raise LevelOrder(f"need from_level <= to_level, got {from_level} > {to_level}")
     if not (0 <= from_level and to_level <= F.M):
         raise LevelOrder(f"levels {from_level}..{to_level} outside 0..{F.M}")
-    w = np.array(_check_state(F, v), order="F")
+    v = _check_state(F, v)
+    if v.ndim == 1 or F.n % 2:
+        w = buffer = np.array(v, order="F")
+    else:  # step in rows 0..n-1 of an (n + 1)-row buffer, the padding row untouched
+        buffer = np.empty((F.n + 1, v.shape[1]), order="F")
+        w = buffer[:F.n]
+        w[...] = v
 
     def run(b):
-        step = _stepper(F, b)
-        for j in range(from_level, to_level):
-            step(j)
+        for sigma in _steps(F, b, from_level, to_level, rescale):
+            pass
+        return sigma
 
     k = 1
     if w.ndim == 2 and to_level > from_level:
         k = min(column_workers(), w.shape[1] // BLOCK_MIN_COLUMNS)
     if k <= 1:
-        run(w)
-        return w
-    cuts = [w.shape[1] * b // k for b in range(k + 1)]
-    blocks = [w[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    # the calling thread steps the first block, the pool the others
-    with ThreadPoolExecutor(k - 1, thread_name_prefix="perevo-columns") as pool:
-        futures = [pool.submit(run, block) for block in blocks[1:]]
-        run(blocks[0])
-        for fut in futures:
-            fut.result()
-    return w
+        blocks = [w]
+        sigmas = [run(w)]
+    else:
+        cuts = [w.shape[1] * b // k for b in range(k + 1)]
+        blocks = [w[:, a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+        # the calling thread steps the first block, the pool the others
+        with ThreadPoolExecutor(k - 1, thread_name_prefix="perevo-columns") as pool:
+            futures = [pool.submit(run, block) for block in blocks[1:]]
+            sigmas = [run(blocks[0])] + [fut.result() for fut in futures]
+    sigma = _rebase(blocks, sigmas) if any(sigmas) else 0
+    return (w if w is buffer else np.array(w, order="F")), sigma
+
+
+def evolve_state(F: StepFactorization, v: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
+    """Discrete evolution map applied to v (a vector, or a matrix of columns).
+
+    v is copied once into a Fortran-ordered buffer, which every step
+    overwrites; v itself is never written.  A matrix of an even number n of
+    rows steps in the first n rows of an (n + 1)-row buffer and is copied
+    out at the end; any other state's buffer is returned.  A matrix of at
+    least 2 * BLOCK_MIN_COLUMNS columns steps as contiguous column blocks of
+    that buffer, one per usable CPU at most, each on its own thread of a
+    pool that lives as long as the evolution.  Anything else steps on the
+    calling thread.
+    """
+    return _evolve(F, v, from_level, to_level, False)[0]
+
+
+def evolve_rescaled(F: StepFactorization, v: np.ndarray, from_level: int,
+                    to_level: int) -> tuple:
+    """(w, sigma): the evolution of evolve_state, kept inside the range of
+    float64 as w = 2^sigma times the evolved state, sigma an int.
+
+    Each column block rescales on its own (see _steps) and the blocks are
+    then rebased to one exponent (_rebase): sigma is 0, and w the plain
+    state bit for bit, unless the plain state's largest |entry| lies below
+    RESCALE_BELOW.  A hard-wall F (with a mask) is never rescaled.
+    """
+    return _evolve(F, v, from_level, to_level, True)
+
+
+def _trajectory(F: StepFactorization, u0: np.ndarray, forcing: ForcingField | None,
+                rescale: bool) -> tuple:
+    """(states, sigmas) of mild_solution and rescaled_trajectory."""
+    w = _check_state(F, u0)
+    if w.ndim != 1:
+        raise DimensionMismatch("a trajectory starts from a single state vector")
+    f = None if forcing is None else forcing.values[1:-1]
+    dt = F.tgrid.dt
+    states = np.empty((F.M + 1, F.n))
+    b = np.array(w)
+    steps = _steps(F, b, 0, F.M, rescale)
+    sigmas = [next(steps)]
+    states[0] = b
+    for j in range(F.M):
+        if f is not None:
+            b += dt * f[:, j + 1]
+        sigmas.append(next(steps))
+        states[j + 1] = b
+    return states, sigmas
 
 
 def mild_solution(F: StepFactorization, u0: np.ndarray,
@@ -367,22 +516,16 @@ def mild_solution(F: StepFactorization, u0: np.ndarray,
     level j.  They equal the homogeneous evolution plus the discrete
     variation-of-constants sum of the per-step solves.  One copy of u0 is
     stepped in place (step j first adds dt f^{j+1}) and copied into row j + 1.
+    The forced recurrence is affine, so it is never rescaled.
     """
-    w = _check_state(F, u0)
-    if w.ndim != 1:
-        raise DimensionMismatch("mild_solution expects a single state vector")
-    f = None if forcing is None else forcing.values[1:-1]
-    dt = F.tgrid.dt
-    states = np.empty((F.M + 1, F.n))
-    states[0] = w
-    b = np.array(w)
-    step = _stepper(F, b)
-    for j in range(F.M):
-        if f is not None:
-            b += dt * f[:, j + 1]
-        step(j)
-        states[j + 1] = b
-    return states
+    return _trajectory(F, u0, forcing, False)[0]
+
+
+def rescaled_trajectory(F: StepFactorization, w: np.ndarray) -> tuple:
+    """(states, sigmas): the unforced mild_solution from w, rescaled as in
+    evolve_rescaled; row j of states is 2^sigmas[j] times the state at level j.
+    """
+    return _trajectory(F, w, None, True)
 
 
 def discrete_v_norm_sq(spec: ProblemSpec, u: np.ndarray) -> float:

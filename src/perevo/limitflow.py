@@ -67,7 +67,9 @@ class SweepRecord:
     eigenfunction on the region where the weight reaches eps (NaN when that
     region is empty or no eigenfunction exists).  The period map and the
     normalized eigenfunction samples are kept for later comparisons; they are
-    not part of the serialized row.
+    not part of the serialized row.  As in spectral.SpectralResult, monodromy,
+    r and residual hold 2^sigma times the period map's own (sigma is 0 unless
+    the map lies below evolve.RESCALE_BELOW).
     """
 
     lam: float
@@ -81,6 +83,7 @@ class SweepRecord:
     iterations: int = 0
     monodromy: np.ndarray | None = field(default=None, repr=False)
     eigenfunction: np.ndarray | None = field(default=None, repr=False)
+    sigma: int = 0
 
 
 @dataclass
@@ -157,8 +160,11 @@ def limit_monodromy(spec: ProblemSpec, pieces=None) -> LimitMonodromy:
     active = np.ascontiguousarray(build_mask(spec.weight, spec.grid, spec.tgrid).free[1:-1].T)
     if pieces is not None:
         _check_pieces(spec, active, pieces)
-    F = prepare(spec, 0.0, active)
-    Pinf = monodromy(F).P
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        F = prepare(spec, 0.0, active)
+    _rewarn("oracle", caught)
+    Pinf = monodromy(F).P  # a hard-wall map is never rescaled
     eigvals, eigvecs = np.linalg.eig(Pinf)
     k = int(np.argmax(np.abs(eigvals)))
     r_inf = float(np.abs(eigvals[k]))
@@ -178,6 +184,13 @@ def limit_monodromy(spec: ProblemSpec, pieces=None) -> LimitMonodromy:
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
+
+def _rewarn(label: str, caught) -> None:
+    """Re-issue recorded warnings, in order, as "label: message", from the
+    caller of the function that calls this."""
+    for w in caught:
+        warnings.warn(f"{label}: {w.message}", w.category, stacklevel=3)
+
 
 def _trap_weights(M: int, dt: float) -> np.ndarray:
     w = np.full(M + 1, dt)
@@ -225,7 +238,9 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, oracle: LimitMonodromy | None 
     share on the strongly penalized region {weight >= eps} is measured.  A
     penalty whose step matrix is singular or whose power iteration does not
     converge (spectral_radius's default rule) gives an invalid record and a
-    warning; a non-converged record keeps the last r estimate and residual.  Violations of eigenvalue
+    warning; a non-converged record keeps the last r estimate and residual.
+    Every warning a penalty raises, prepare's and evolve's included, is
+    re-issued after it as "penalty <lam>: message".  Violations of eigenvalue
     monotonicity beyond rounding slack are reported as warnings.
     """
     lambdas = [float(v) for v in lambdas]
@@ -246,19 +261,20 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, oracle: LimitMonodromy | None 
         oracle_samples = oracle.eigenfunction_samples()
 
     def one(lam: float) -> SweepRecord:
+        P = None
         try:
             F = prepare(spec, lam)
             P = monodromy(F)
             res = spectral_radius(P)
         except (NoConvergence, SingularStep) as exc:
-            warnings.warn(f"penalty {lam:g}: {exc}", stacklevel=3)
+            warnings.warn(str(exc))
             stalled = isinstance(exc, NoConvergence)
             return SweepRecord(lam, exc.r_estimate if stalled else math.nan, math.nan,
                                exc.residual if stalled else math.nan, math.nan, math.nan,
-                               False, False)
+                               False, False, sigma=0 if P is None else P.sigma)
         if res.trivial:
             return SweepRecord(lam, res.r, math.inf, res.residual, math.nan,
-                               math.nan, True, True, res.iterations, P.P, None)
+                               math.nan, True, True, res.iterations, P.P, None, P.sigma)
         eig = periodic_eigenfunction(F, res)
         u = _spacetime_normalize(eig.samples, h, wt)
         mass = math.nan
@@ -268,11 +284,14 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, oracle: LimitMonodromy | None 
         if oracle_samples is not None:
             dist = float(_eig_distances(u, oracle_samples, h).max())
         return SweepRecord(lam, res.r, res.mu, res.residual, mass, dist,
-                           False, True, res.iterations, P.P, u)
+                           False, True, res.iterations, P.P, u, P.sigma)
 
     records = []
-    for lam in lambdas:  # a plain loop: a comprehension's frame would shift stacklevel
-        records.append(one(lam))
+    for lam in lambdas:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            records.append(one(lam))
+        _rewarn(f"penalty {lam:g}", caught)
 
     finite = [r for r in records if r.valid]
     for r1, r2 in zip(finite, finite[1:]):
@@ -285,9 +304,10 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, oracle: LimitMonodromy | None 
 def classify_divergent(records) -> bool:
     """Heuristic divergence flag for a sweep without a finite limit value.
 
-    Divergent when the top of the sweep is already numerically nilpotent, or
-    the eigenvalue still grows by more than the threshold over the last
-    decade of penalties.
+    Divergent when a record is trivial (its power iterates fell below
+    spectral.R_FLOOR; a penalized map that only underflows is rescaled and
+    stays finite), or the eigenvalue still grows by more than the threshold
+    over the last decade of penalties.
     """
     valid = [r for r in records if r.valid]
     if not valid:
@@ -323,20 +343,22 @@ def compare_to_limit(records, lim: LimitMonodromy) -> ConvergenceReport:
     """Compare the largest-penalty record against the limit oracle.
 
     Raises TrivialLimitComparison (carrying the max-entry decay of the
-    penalized period maps) when the oracle is the zero matrix.
+    penalized period maps) when the oracle is the zero matrix.  Both read
+    the penalized maps on the plain scale, where a map below the range of
+    float64 reads as zeros.
     """
     usable = [r for r in records if r.valid]
     if not usable:
         raise InsufficientData("no valid sweep records to compare")
     if not math.isfinite(lim.mu_inf):
-        decay = [(r.lam, float(np.abs(r.monodromy).max()))
+        decay = [(r.lam, math.ldexp(float(np.abs(r.monodromy).max()), -r.sigma))
                  for r in usable if r.monodromy is not None]
         raise TrivialLimitComparison(decay)
     rec = usable[-1]
     if rec.trivial or rec.eigenfunction is None:
         raise InsufficientData(f"top record (penalty {rec.lam:g}) has no eigenfunction")
     mu_gap = abs(rec.mu - lim.mu_inf)
-    op_gap = float(np.abs(rec.monodromy - lim.Pinf).max())
+    op_gap = float(np.abs(np.ldexp(rec.monodromy, -rec.sigma) - lim.Pinf).max())
     h = lim.spec.grid.h
     oracle_samples = lim.eigenfunction_samples()
     dists = _eig_distances(rec.eigenfunction, oracle_samples, h)

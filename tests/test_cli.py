@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import oracles
 import perevo
 from perevo.admissibility import build_mask, mask_text
 from perevo.cli import main
@@ -107,13 +109,19 @@ def test_eigen_warns_when_positivity_is_not_certified(tmp_path):
     assert perevo.monodromy(F).P.min() < 0
 
 
-def test_eigen_trivial_limit_exit_3(tmp_path):
-    # a gigantic constant penalty pushes the period map below the floor
+def test_eigen_at_a_huge_penalty_exits_0_with_the_closed_form(tmp_path):
+    # the period map, about (dt lam)^-M = 1e-9552, lies far below float64; it
+    # is rescaled by a power of two, so mu keeps the closed form and only the
+    # plain-scale r underflows
     cfg = _cfg(tmp_path, weight="1.0")
     rc = main(["eigen", cfg, "--lambda", "1e300", "--out", str(tmp_path / "o")])
-    assert rc == 3
+    assert rc == 0
     data = json.loads((tmp_path / "o" / "spectral_result.json").read_text())
-    assert data["trivial_limit"] is True and data["mu"] is None
+    spec = perevo.build_problem(cfg)
+    g, t = spec.grid, spec.tgrid
+    exact = (t.M / t.T) * math.log(1 + t.dt * (oracles.mode_eigenvalue(g, 1) + 1e300))
+    assert data["trivial_limit"] is False and data["r"] == 0.0
+    assert abs(data["mu"] - exact) <= 1e-10 * exact
 
 
 def test_eigen_bad_config_exit_2(tmp_path, capsys):
@@ -238,6 +246,17 @@ def test_sweep_without_a_valid_row_writes_its_report(tmp_path, capsys, stall_cfg
     assert report["mu_gap"] is report["op_gap_max"] is report["eig_dist_max"] is None
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert "convergence_report.json" in manifest["outputs"]
+
+
+def test_sweep_prints_one_positivity_line_per_penalty(tmp_path, stall_cfg):
+    # Python's default filter prints a warning once per message and place, so
+    # each penalty's warnings are re-issued with the penalty in the message
+    proc = _fresh_python("-m", "perevo.cli", "sweep", stall_cfg, "--lambdas", "0,1,10",
+                         "--out", str(tmp_path / "o"))
+    assert proc.returncode == 2, proc.stderr
+    named = [m.group(1) for m in re.finditer(r"UserWarning: ([^:]+): positivity not certified",
+                                             proc.stderr)]
+    assert named == ["oracle", "penalty 0", "penalty 1", "penalty 10"]
 
 
 def test_kernel_outputs_and_snap(tmp_path, capsys):

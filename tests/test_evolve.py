@@ -15,11 +15,11 @@ import perevo
 from dgtsv_hook import hook_dgtsv
 from perevo import evolve
 from perevo.errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
-from perevo.evolve import (ForcingField, energy_report, evolve_state, mild_solution,
-                           prepare, trajectory_rows)
+from perevo.evolve import (ForcingField, energy_report, evolve_rescaled, evolve_state,
+                           mild_solution, prepare, trajectory_rows)
 from perevo.kernel import kernel_matrix
 from perevo.operator import stencil_bands
-from perevo.spectral import monodromy
+from perevo.spectral import monodromy, spectral_radius
 from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dgtsv, dgttrf
 
@@ -221,16 +221,21 @@ def test_binding_rejects_buffers_it_cannot_step():
     n = 5
     bands = np.ones(3 * n - 2)
     for bad in (np.ones((n, 4)),  # C-ordered
-                np.ones((n, 8), order="F")[:, ::2],  # columns 2n apart
+                np.lib.stride_tricks.as_strided(np.ones(4 * n), (n, 4), (8, 8 * (n - 1))),  # ldb < n
+                np.ones((n, 4), order="F")[:, ::-1],  # columns run backwards
                 np.ones(2 * n)[::2],  # a strided vector
                 np.ones(n, dtype=np.float32),
-                np.broadcast_to(np.ones(1), (n,)),  # read-only, one value
-                np.ones((n + 1, 4), order="F")[1:]):  # ldb = n + 1
+                np.broadcast_to(np.ones(1), (n,))):  # read-only, one value
         with pytest.raises(InvariantError, match="ldb"):
             evolve._dgtsv_args(bands, bad)
     with pytest.raises(InvariantError):
         evolve._dgtsv_args(np.ones(3 * n), np.ones(n))
-    evolve._dgtsv_args(bands, np.ones((n, 8), order="F")[:, 2:5])
+    for good, ldb in ((np.ones((n, 8), order="F")[:, 2:5], n),
+                      (np.ones((n, 8), order="F")[:, ::2], 2 * n),
+                      (np.ones((n + 1, 4), order="F")[:n], n + 1),
+                      (np.ones((n + 1, 4), order="F")[1:], n + 1)):
+        args, _ = evolve._dgtsv_args(bands, good)
+        assert args[6]._obj.value == ldb
 
 
 def test_a_capsule_of_another_signature_fails_the_binding(monkeypatch):
@@ -588,3 +593,96 @@ def test_forked_child_finishes_a_monodromy(monkeypatch):
         time.sleep(0.05)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
     assert not background.is_alive() and np.array_equal(got[0], want)
+
+
+def test_powers_of_two_commute_with_every_evolution(monkeypatch):
+    # the rescaling rests on this: dgtsv is linear and a power of two scales
+    # each of its operations exactly, on one buffer and on two column blocks
+    spec = perevo.builtin_scenario("du_peng")
+    F = prepare(spec, 1e3)
+    n, M = spec.grid.n, spec.tgrid.M
+    for workers in (1, 2):
+        monkeypatch.setattr(evolve, "column_workers", lambda workers=workers: workers)
+        P = evolve_state(F, np.eye(n), 0, M)
+        for scale, rescaled in ((2.0 ** 300, False), (2.0 ** -300, True)):
+            want = (scale * P).tobytes()
+            assert evolve_state(F, scale * np.eye(n), 0, M).tobytes() == want
+            W, sigma = evolve_rescaled(F, scale * np.eye(n), 0, M)
+            assert (sigma > 0) == rescaled and np.ldexp(W, -sigma).tobytes() == want
+
+
+def _sloped(lam):
+    """Weight 1 + x on (0, 1), n = M = 64: at lam = 1e5 the period map lies
+    below RESCALE_BELOW, its right column half binades below its left."""
+    g, t = perevo.Grid1D(0.0, 1.0, 64), perevo.TimeGrid(1.0, 64)
+    spec = perevo.make_problem(g, t, perevo.make_coefficients(g, t, 1.0),
+                               perevo.BoundarySpec("dirichlet"),
+                               perevo.make_weight(g, t, lambda x, s: 1.0 + x))
+    return prepare(spec, lam)
+
+
+def test_split_and_serial_rescaled_maps_agree_bit_for_bit(monkeypatch):
+    F = _sloped(1e5)
+    eye = np.eye(64)
+    halves = [evolve_rescaled(F, eye[:, cols], 0, 64)[1] for cols in (slice(32), slice(32, 64))]
+    assert 0 < halves[0] < halves[1]  # the two column blocks end with different exponents
+    maps = []
+    for workers in (1, 2):
+        monkeypatch.setattr(evolve, "column_workers", lambda workers=workers: workers)
+        with monkeypatch.context() as m:
+            calls = hook_dgtsv(m)
+            P = monodromy(F)
+        assert sorted(nrhs for nrhs, _ in calls) == [64 // workers] * 64 * workers
+        maps.append((P, spectral_radius(P)))
+    (serial, rs), (split, rt) = maps
+    assert serial.sigma == split.sigma == halves[0]
+    assert serial.P.tobytes() == split.P.tobytes()
+    assert (rs.mu, rs.r) == (rt.mu, rt.r)
+    # every entry of the plain map is still normal here, and 2^sigma times it
+    plain = evolve_state(F, eye, 0, 64)
+    assert np.abs(plain).min() >= np.finfo(float).tiny
+    assert np.ldexp(plain, serial.sigma).tobytes() == serial.P.tobytes()
+
+
+def test_columns_that_underflow_when_rebased_are_counted(monkeypatch):
+    # the left block starts at 2^-1020, so it rescales at once; rebased to
+    # the right block's exponent 0, its columns fall below the normal range
+    monkeypatch.setattr(evolve, "column_workers", lambda: 2)
+    F = prepare(perevo.builtin_scenario("du_peng", n=64, M=64), 0.0)
+    V = np.eye(64)
+    V[:, :32] *= 2.0 ** -1020
+    with pytest.warns(UserWarning, match="^32 column"):
+        W, sigma = evolve_rescaled(F, V, 0, 64)
+    assert sigma == 0
+    assert W[:, 32:].tobytes() == evolve_state(F, np.eye(64)[:, 32:], 0, 64).tobytes()
+
+
+def test_a_rescaled_trajectory_keeps_the_period_map_exponent():
+    F = _sloped(1e5)
+    P = monodromy(F)
+    w = np.ones(64)
+    states, sigmas = evolve.rescaled_trajectory(F, w)
+    assert sigmas[0] == 0 and sigmas == sorted(sigmas) and sigmas[-1] > 0
+    assert np.abs(states).max(axis=1).min() >= evolve.RESCALE_BELOW
+    assert np.allclose(np.ldexp(states[-1], P.sigma - sigmas[-1]), P.P @ w, rtol=1e-12, atol=0)
+
+
+def test_even_matrices_step_at_an_odd_leading_dimension(monkeypatch):
+    # columns n numbers apart for a power-of-two n share L1 cache sets
+    ldbs = []
+    real = evolve._dgtsv
+
+    def recording(*args):
+        ldbs.append(args[6]._obj.value)
+        return real(*args)
+
+    monkeypatch.setattr(evolve, "column_workers", lambda: 1)
+    for n, ldb in ((64, 65), (127, 127)):
+        F = _split_spec(n)
+        with monkeypatch.context() as m:
+            m.setattr(evolve, "_dgtsv", recording)
+            W = evolve_state(F, np.eye(n), 0, 4)
+            evolve_state(F, np.ones(n), 0, 4)
+        assert ldbs == [ldb] * 4 + [n] * 4
+        assert W.shape == (n, n) and W.flags.f_contiguous
+        ldbs.clear()

@@ -241,20 +241,37 @@ def test_scalar_problem_single_node(n):
     assert np.allclose(P.P, ref, atol=1e-13)
 
 
-@pytest.mark.xfail(strict=True, reason="underflow reported as nilpotent (ROADMAP item 3)")
-@pytest.mark.parametrize("lam", [1e3, 1e4, 1e5])
-def test_constant_penalty_closed_form_at_large_penalties(lam):
-    # the C02 problem: m = 1 on (0, pi), n = 128, M = 512; the period map is
-    # entrywise positive for every finite penalty, so mu must stay finite
+def _c02():
+    # the C02 problem: m = 1 on (0, pi), n = 128, M = 512
     g = perevo.Grid1D(0.0, math.pi, 128)
     t = perevo.TimeGrid(1.0, 512)
-    spec = perevo.make_problem(g, t, perevo.make_coefficients(g, t, 1.0),
+    return perevo.make_problem(g, t, perevo.make_coefficients(g, t, 1.0),
                                perevo.BoundarySpec("dirichlet"), perevo.make_weight(g, t, 1.0))
+
+
+@pytest.mark.parametrize("lam", [600.0, 1e3, 1e4, 1e5])
+def test_constant_penalty_closed_form_at_large_penalties(lam):
+    # the period map is entrywise positive for every finite penalty, so mu
+    # must stay finite; its largest entry is 3.5e-175 at 600, whose squares in
+    # power iteration's norms underflow, and about 1e-672 at 1e4
+    spec = _c02()
+    g, t = spec.grid, spec.tgrid
     lam1 = oracles.mode_eigenvalue(g, 1)
     exact = (t.M / t.T) * math.log(1 + t.dt * (lam1 + lam))
     res = principal_pair(spec, lam)
-    assert not res.trivial
+    assert not res.trivial and res.sigma > 0
     assert abs(res.mu - exact) <= 1e-10 * exact
+
+
+def test_periodic_eigenfunction_of_a_rescaled_map():
+    # mu = 1547: exp(mu t) alone overflows from t = 0.46 on, and the plain
+    # evolution of w underflows; the problem is autonomous, so every sample
+    # is the eigenvector itself
+    F = prepare(_c02(), 1e4)
+    res = spectral_radius(monodromy(F))
+    eig = periodic_eigenfunction(F, res)
+    assert np.abs(eig.samples - res.w).max() <= 1e-9 * np.abs(res.w).max()
+    assert eig.defect <= 1e-9
 
 
 def test_positive_period_map_all_entries(heat_small):
