@@ -30,7 +30,7 @@ import numpy as np
 from . import model
 from .errors import SchemaError
 
-__all__ = ["build_problem", "parse_lambda_list"]
+__all__ = ["build_problem", "document_lattice", "parse_lambda_list"]
 
 _SCHEMA = {
     "grid": {"x_lo", "x_hi", "n"},
@@ -181,20 +181,34 @@ def _lattice(cp, section, key, grid, tgrid, default, weight_ok=False):
 # public entry points
 # ---------------------------------------------------------------------------
 
+def _document(text_or_path: str, n=None, M=None):
+    """(parsed document, Grid1D, TimeGrid): the document's lattice, or its
+    domain and period with n and M replaced, validated without sampling."""
+    cp = _read(text_or_path)
+    _validate_keys(cp)
+    grid = model.Grid1D(_number(cp, "grid", "x_lo"), _number(cp, "grid", "x_hi"),
+                        _number(cp, "grid", "n", cast=int) if n is None else n)
+    tgrid = model.TimeGrid(_number(cp, "time", "T"),
+                           _number(cp, "time", "M", cast=int) if M is None else M)
+    return cp, grid, tgrid
+
+
+def document_lattice(text_or_path: str) -> tuple:
+    """(n, M) of a config document's lattice, read and validated as
+    build_problem reads it, without sampling a lattice."""
+    _, grid, tgrid = _document(text_or_path)
+    return grid.n, tgrid.M
+
+
 def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     """Parse a config document, given as text or as a file path, and build the
     validated ProblemSpec.
 
     n and M, when given, replace the document's [grid] n and [time] M, as the
-    same keywords do for model.builtin_scenario.
+    same keywords do for model.builtin_scenario.  The weight lattice the
+    document's expression allocates is kept, not copied.
     """
-    cp = _read(text_or_path)
-    _validate_keys(cp)
-
-    grid = model.Grid1D(_number(cp, "grid", "x_lo"), _number(cp, "grid", "x_hi"),
-                        _number(cp, "grid", "n", cast=int) if n is None else n)
-    tgrid = model.TimeGrid(_number(cp, "time", "T"),
-                           _number(cp, "time", "M", cast=int) if M is None else M)
+    cp, grid, tgrid = _document(text_or_path, n, M)
 
     coeff = model.make_coefficients(
         grid, tgrid,
@@ -215,7 +229,8 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     )
 
     wl = _lattice(cp, "weight", "weight", grid, tgrid, 0.0, weight_ok=True)
-    weight = model.make_weight(grid, tgrid, m=wl, delta=_number(cp, "weight", "delta"))
+    weight = model.make_weight(grid, tgrid, m=wl, delta=_number(cp, "weight", "delta"),
+                               copy=False)
     return model.make_problem(grid, tgrid, coeff, bc, weight)
 
 

@@ -39,6 +39,7 @@ __all__ = [
     "sample_sup_norms",
     "coercivity_shift",
     "builtin_scenario",
+    "builtin_lattice",
     "SCENARIO_NAMES",
     "du_peng_weight",
     "box_weight",
@@ -46,6 +47,10 @@ __all__ = [
     "snap_to_node",
     "snap_to_level",
 ]
+
+#: samples per update when ProblemSpec.digest hashes a broadcast constant
+#: (64 KiB, which stays in cache)
+DIGEST_CHUNK = 8192
 
 #: default relative support threshold and its absolute floor
 SUPPORT_THRESHOLD_REL = 1e-12
@@ -109,16 +114,21 @@ class TimeGrid:
         return self.dt * (np.arange(self.M + 1) % self.M)
 
 
-def sample_field(fn, grid: Grid1D, tgrid: TimeGrid) -> np.ndarray:
+def sample_field(fn, grid: Grid1D, tgrid: TimeGrid, copy=True) -> np.ndarray:
     """Sample fn(x, t) on the full lattice with t reduced modulo the period.
 
-    fn must broadcast over numpy arrays; the result is a new C-ordered
-    (n+2, M+1) array.
+    fn must broadcast over numpy arrays; the result is a C-ordered
+    (n+2, M+1) float array.  It is a new array, unless copy is False and fn
+    returned such an array itself: the weight builders below pass False for
+    the np.where lattice they have just allocated.
     """
     x = grid.nodes()[:, None]
     t = tgrid.reduced_levels()[None, :]
-    out = np.broadcast_to(np.asarray(fn(x, t), dtype=float), (grid.n + 2, tgrid.M + 1))
-    return np.array(out, dtype=float, order="C")
+    shape = (grid.n + 2, tgrid.M + 1)
+    out = np.asarray(fn(x, t), dtype=float)
+    if copy or out.shape != shape or not out.flags.c_contiguous:
+        out = np.array(np.broadcast_to(out, shape), order="C")
+    return out
 
 
 def _locate(arr: np.ndarray, grid: Grid1D, tgrid: TimeGrid, idx) -> str:
@@ -126,6 +136,12 @@ def _locate(arr: np.ndarray, grid: Grid1D, tgrid: TimeGrid, idx) -> str:
     x = grid.nodes()[i]
     t = tgrid.levels()[j]
     return f"(x={x:.6g}, t={t:.6g}) [node {i}, level {j}]"
+
+
+def _samples(arr: np.ndarray) -> np.ndarray:
+    """What a lattice check reads: all of a lattice, but only the one value of
+    a broadcast constant (every stride 0), as the 1 x 1 view at node 0, level 0."""
+    return arr if any(arr.strides) else arr[:1, :1]
 
 
 def _min_cell(arr: np.ndarray, grid: Grid1D, tgrid: TimeGrid):
@@ -153,10 +169,10 @@ class CoefficientField:
     alpha: float
 
 
-def _materialize(f, grid, tgrid) -> np.ndarray:
-    """Read-only (n+2, M+1) lattice of a callable's samples or a copy of an
-    array; a number, or an array that broadcasts one number (every stride 0),
-    becomes a broadcast of that number, stored once."""
+def _materialize(f, grid, tgrid, copy=True) -> np.ndarray:
+    """Read-only (n+2, M+1) lattice of a callable's samples or of an array,
+    copied unless copy is False; a number, or an array that broadcasts one
+    number (every stride 0), becomes a broadcast of that number, stored once."""
     shape = (grid.n + 2, tgrid.M + 1)
     if callable(f):
         out = sample_field(f, grid, tgrid)
@@ -166,7 +182,7 @@ def _materialize(f, grid, tgrid) -> np.ndarray:
             raise InvariantError(f"sample lattice has shape {arr.shape}, expected {shape}")
         if not any(arr.strides):
             return np.broadcast_to(arr.flat[0], shape)
-        out = arr.copy()
+        out = arr.copy() if copy else arr
     out.flags.writeable = False
     return out
 
@@ -182,17 +198,19 @@ def make_coefficients(grid, tgrid, D, a=0.0, b=0.0, c0=0.0, alpha=None) -> Coeff
 
     Dl, al, bl, cl = mat(D), mat(a), mat(b), mat(c0)
     for name, arr in (("D", Dl), ("a", al), ("b", bl), ("c0", cl)):
+        arr = _samples(arr)
         if not np.all(np.isfinite(arr)):
             idx = np.unravel_index(int(np.argmin(np.isfinite(arr))), arr.shape)
             raise InvariantError(f"coefficient {name} is not finite at {_locate(arr, grid, tgrid, idx)}")
-    dmin = float(Dl.min())
+    Ds = _samples(Dl)
+    dmin = float(Ds.min())
     if alpha is None:
         alpha = dmin
     if not alpha > 0:
-        dmin, where = _min_cell(Dl, grid, tgrid)
+        dmin, where = _min_cell(Ds, grid, tgrid)
         raise InvariantError(f"ellipticity floor must be positive; D attains {dmin:.6g} at {where}")
     if dmin < alpha:
-        dmin, where = _min_cell(Dl, grid, tgrid)
+        dmin, where = _min_cell(Ds, grid, tgrid)
         raise InvariantError(f"D sample {dmin:.6g} below alpha={alpha:.6g} at {where}")
     return CoefficientField(Dl, al, bl, cl, float(alpha))
 
@@ -249,15 +267,19 @@ class WeightField:
     delta: float
 
 
-def make_weight(grid, tgrid, m=0.0, delta=None) -> WeightField:
-    vals = _materialize(m, grid, tgrid)
-    if not np.all(np.isfinite(vals)):
-        idx = np.unravel_index(int(np.argmin(np.isfinite(vals))), vals.shape)
-        raise InvariantError(f"weight is not finite at {_locate(vals, grid, tgrid, idx)}")
-    if vals.min() < 0:
-        mn, where = _min_cell(vals, grid, tgrid)
+def make_weight(grid, tgrid, m=0.0, delta=None, copy=True) -> WeightField:
+    """Materialize and check a weight lattice as make_coefficients does.  An
+    array m is copied unless copy is False, which hands over an array the
+    caller has just allocated and never writes again."""
+    vals = _materialize(m, grid, tgrid, copy)
+    samples = _samples(vals)
+    if not np.all(np.isfinite(samples)):
+        idx = np.unravel_index(int(np.argmin(np.isfinite(samples))), samples.shape)
+        raise InvariantError(f"weight is not finite at {_locate(samples, grid, tgrid, idx)}")
+    if samples.min() < 0:
+        mn, where = _min_cell(samples, grid, tgrid)
         raise InvariantError(f"weight sample {mn:.6g} is negative at {where}")
-    mx = float(vals.max()) if vals.size else 0.0
+    mx = float(samples.max())
     if delta is None:
         delta = max(SUPPORT_THRESHOLD_REL * mx, SUPPORT_THRESHOLD_FLOOR)
     delta = float(delta)
@@ -292,9 +314,12 @@ class ProblemSpec:
 
         The field after M is the literal 1.0, the time stepper's theta when
         theta was a parameter; it stays so that digests keep their values.
-        Each lattice is hashed row by row, node 0 first, so a broadcast
-        constant and its materialized copy hash alike: the bytes are those
-        tobytes() would copy."""
+        Each lattice is hashed as the bytes tobytes() would copy, node 0
+        first, so a broadcast constant and its materialized copy hash alike.
+        A C-ordered lattice is one update.  A broadcast constant is hashed
+        from one reused buffer of its value, in updates of DIGEST_CHUNK
+        samples and a remainder; hashlib releases the GIL for every update
+        of 2048 bytes or more, so another thread runs while this hashes."""
         hsh = hashlib.sha256()
         head = (
             f"{self.grid.x_lo!r},{self.grid.x_hi!r},{self.grid.n},"
@@ -305,8 +330,14 @@ class ProblemSpec:
         )
         hsh.update(head.encode())
         for arr in (self.coeff.D, self.coeff.a, self.coeff.b, self.coeff.c0, self.weight.values):
-            for row in arr:
-                hsh.update(np.ascontiguousarray(row))
+            if any(arr.strides):
+                hsh.update(np.ascontiguousarray(arr))
+                continue
+            chunk = np.full(min(arr.size, DIGEST_CHUNK), arr.flat[0])
+            whole, rest = divmod(arr.size, chunk.size)
+            for _ in range(whole):
+                hsh.update(chunk)
+            hsh.update(chunk[:rest])
         return hsh.hexdigest()
 
 
@@ -367,7 +398,7 @@ def du_peng_weight(grid: Grid1D, tgrid: TimeGrid, u_lo=0.0, u_hi=0.5, t_switch=0
         raise BadScenarioParams(f"switch time {t_switch} not inside (0, {tgrid.T})")
     return sample_field(
         lambda x, t: np.where((t >= t_switch) & ~((u_lo <= x) & (x < u_hi)), 1.0, 0.0),
-        grid, tgrid)
+        grid, tgrid, copy=False)
 
 
 def box_weight(grid: Grid1D, tgrid: TimeGrid, x1, x2, t1, t2):
@@ -378,7 +409,7 @@ def box_weight(grid: Grid1D, tgrid: TimeGrid, x1, x2, t1, t2):
         raise BadScenarioParams(f"box needs t1 < t2, got [{t1}, {t2})")
     return sample_field(
         lambda x, t: np.where((x1 <= x) & (x < x2) & (t1 <= t) & (t < t2), 1.0, 0.0),
-        grid, tgrid)
+        grid, tgrid, copy=False)
 
 
 def default_staircase_abscissae(x_lo=0.0, x_hi=1.0):
@@ -431,7 +462,7 @@ def staircase_weight(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
     """Weight samples, one on the staircase's blocks (see staircase_geometry)."""
     xs, ts = staircase_geometry(grid, tgrid, xs, ts)
     return sample_field(lambda x, t: np.where(staircase_blocked(xs, ts, x, t), 1.0, 0.0),
-                        grid, tgrid)
+                        grid, tgrid, copy=False)
 
 
 #: keywords every builtin takes, with the defaults the rows below override
@@ -450,24 +481,38 @@ _SCENARIOS = {
 SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
-def builtin_scenario(name: str, **params) -> ProblemSpec:
-    """Build the builtin ``name`` (one of SCENARIO_NAMES) from its _SCENARIOS row.
-
-    Every builtin takes the _LATTICE keywords (domain, period, n, M, D, bc);
-    the rest override the geometry its weight builder takes.  A builtin
-    without a weight builder has m = 0.
-    """
+def _scenario(name: str):
+    """(lattice keywords with the builtin's defaults, weight builder or None)."""
     try:
         defaults, weight = _SCENARIOS[name]
     except KeyError:
         raise BadScenarioParams(
             f"unknown scenario {name!r}; expected one of {sorted(_SCENARIOS)}"
         ) from None
-    kw = {**_LATTICE, **defaults, **params}
+    return {**_LATTICE, **defaults}, weight
+
+
+def builtin_lattice(name: str) -> tuple:
+    """(n, M) of the builtin ``name`` at its default lattice, read off its
+    _SCENARIOS row without sampling a lattice."""
+    lat = _scenario(name)[0]
+    return lat["n"], lat["M"]
+
+
+def builtin_scenario(name: str, **params) -> ProblemSpec:
+    """Build the builtin ``name`` (one of SCENARIO_NAMES) from its _SCENARIOS row.
+
+    Every builtin takes the _LATTICE keywords (domain, period, n, M, D, bc);
+    the rest override the geometry its weight builder takes.  A builtin
+    without a weight builder has m = 0.  The weight lattice the builder
+    allocates is kept, not copied.
+    """
+    defaults, weight = _scenario(name)
+    kw = {**defaults, **params}
     lat = {key: kw.pop(key) for key in _LATTICE}
     grid, tgrid = Grid1D(lat["x_lo"], lat["x_hi"], lat["n"]), TimeGrid(lat["T"], lat["M"])
     if weight is None and kw:
         raise TypeError(f"{name} got unexpected keyword arguments {sorted(kw)}")
     m = 0.0 if weight is None else weight(grid, tgrid, **kw)
-    coeff = make_coefficients(grid, tgrid, lat["D"])
-    return make_problem(grid, tgrid, coeff, BoundarySpec(lat["bc"]), make_weight(grid, tgrid, m))
+    coeff, bc = make_coefficients(grid, tgrid, lat["D"]), BoundarySpec(lat["bc"])
+    return make_problem(grid, tgrid, coeff, bc, make_weight(grid, tgrid, m, copy=False))

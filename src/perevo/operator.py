@@ -7,9 +7,12 @@ interior nodes.  With the face flux
 
 row i reads  (F_{i-1/2} - F_{i+1/2})/h + b_i (u_{i+1} - u_{i-1})/(2h) + c0_i u_i.
 Face coefficients are arithmetic means of the adjacent node samples, which is
-exact for the constant-coefficient reference cases.  Advection stays centered;
-under the mesh-Peclet condition max(|a|, |b|) * h <= 2 alpha both off-diagonals
-are nonpositive, the sign pattern the positivity machinery relies on.
+exact for the constant-coefficient reference cases.  Advection stays centered,
+so the off-diagonals are -D/h^2 +- (a - b)/(2h), with D and a at the face and b
+at the node.  Both are nonpositive, the sign pattern the positivity machinery
+relies on, exactly when |a - b| * h <= 2 D.  The mesh-Peclet test
+max(|a|, |b|) * h <= 2 alpha does not imply this: with b = -a it allows
+|a - b| * h up to 4 alpha.
 
 Dirichlet rows simply drop the coupling to the eliminated endpoint.  At a flux
 (Neumann/Robin) endpoint the missing face flux is replaced by the boundary
@@ -77,7 +80,10 @@ def assemble_A(spec: ProblemSpec, j: int):
 
 
 def mesh_peclet_ok(spec: ProblemSpec) -> bool:
-    """max(|a|, |b|) * h <= 2 alpha on the lattice."""
+    """max(|a|, |b|) * h <= 2 alpha on the lattice.
+
+    This is not the stencil's sign condition |a - b| * h <= 2 D (see the
+    module docstring): it can hold while an off-diagonal is positive."""
     a_sup, b_sup, _ = sample_sup_norms(spec.coeff)
     drift = max(a_sup, b_sup)
     return drift * spec.grid.h <= 2.0 * spec.coeff.alpha

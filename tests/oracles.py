@@ -8,6 +8,7 @@ they judge.  The one package import, staircase_geometry, only supplies the
 snapped corner positions of the staircase scenario.
 """
 
+import hashlib
 import math
 from collections import deque
 
@@ -277,3 +278,19 @@ def mask_text_per_cell(supp):
     lines = ["".join("#" if supp[i, j] else "." for i in range(n_nodes))
              for j in range(n_levels)]
     return "\n".join(lines) + "\n"
+
+
+def row_digest(spec):
+    """ProblemSpec.digest's value, hashed row by row: SHA-256 of the head
+    (grid, period, the literal 1.0, boundary data, delta, alpha) and then of
+    each lattice row's tobytes(), node 0 first, in the order D, a, b, c0, m."""
+    g, t, bc = spec.grid, spec.tgrid, spec.bc
+    head = (f"{g.x_lo!r},{g.x_hi!r},{g.n},{t.T!r},{t.M},1.0,"
+            f"{bc.kind},{bc.b0_left!r},{bc.b0_right!r},{bc.kind_left},{bc.kind_right},"
+            f"{spec.weight.delta!r},{spec.coeff.alpha!r}")
+    hsh = hashlib.sha256(head.encode())
+    c = spec.coeff
+    for lattice in (c.D, c.a, c.b, c.c0, spec.weight.values):
+        for row in lattice:
+            hsh.update(row.tobytes())
+    return hsh.hexdigest()

@@ -5,15 +5,18 @@ import os
 import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import oracles
 import perevo
+from perevo import cli
 from perevo.admissibility import build_mask, mask_text
 from perevo.cli import main
 from perevo.evolve import column_workers
+from perevo.model import ProblemSpec
 
 MINI = """
 [grid]
@@ -325,6 +328,44 @@ def test_check_refines_a_config_document(tmp_path):
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["digest"] == ref.digest() and manifest["config"] == cfg
     assert (out / "mask.txt").read_text() == mask
+
+
+def test_check_refine_builds_the_target_once(tmp_path, monkeypatch):
+    built = []
+    for name in ("builtin_scenario", "build_problem"):
+        def build(target, _real=getattr(cli, name), **lattice):
+            built.append((target, lattice))
+            return _real(target, **lattice)
+        monkeypatch.setattr(cli, name, build)
+    cfg = _cfg(tmp_path, weight="du_peng(0.0, 0.5, 0.5)")
+    assert main(["check", "du_peng", "--refine", "2", "--out", str(tmp_path / "b")]) == 0
+    assert main(["check", cfg, "--refine", "2", "--out", str(tmp_path / "d")]) == 0
+    assert main(["check", cfg, "--out", str(tmp_path / "e")]) == 0
+    assert built == [("du_peng", {"n": 129, "M": 1024}), (cfg, {"n": 33, "M": 64}), (cfg, {})]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_manifest_digest_thread_never_outlives_the_command(tmp_path, monkeypatch, workers):
+    # with more than one usable CPU the digest is hashed on its own thread,
+    # with one on the calling thread; the manifest holds the same value
+    monkeypatch.setattr(cli, "column_workers", lambda: workers)
+    hashed_on = []
+
+    def digest(spec, _real=ProblemSpec.digest):
+        hashed_on.append(threading.current_thread())
+        return _real(spec)
+    monkeypatch.setattr(ProblemSpec, "digest", digest)
+    before = threading.enumerate()
+    assert main(["check", "du_peng", "--out", str(tmp_path / "a")]) == 0
+    assert main(["check", "counterexample", "--out", str(tmp_path / "b")]) == 6
+    # s >= t exits 2 after the target is resolved
+    assert main(["kernel", "heat_baseline", "--s", "0.9", "--t", "0.1",
+                 "--out", str(tmp_path / "c")]) == 2
+    assert threading.enumerate() == before
+    on_caller = [t is threading.current_thread() for t in hashed_on]
+    assert on_caller == ([True] * 2 if workers == 1 else [False] * 3)
+    manifest = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
+    assert manifest["digest"] == oracles.row_digest(perevo.builtin_scenario("counterexample"))
 
 
 def test_builtin_name_wins_over_a_file_of_that_name(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import perevo
 from perevo.admissibility import build_mask, mask_text
 from perevo.cli import main
@@ -96,6 +97,30 @@ def test_negative_weight_rejected_with_location():
         perevo.make_weight(grid, tgrid, lambda x, t: np.where((x == 0.4) & (t == 0.5),
                                                               -0.1, 0.0))
     assert "x=0.4" in str(err.value) and "t=0.5" in str(err.value)
+
+
+@pytest.mark.parametrize("build, value, text", [
+    (lambda g, t, v: perevo.make_coefficients(g, t, D=v), -1.0,
+     "ellipticity floor must be positive; D attains -1 at"),
+    (lambda g, t, v: perevo.make_coefficients(g, t, D=v, alpha=2.0), 1.0,
+     "D sample 1 below alpha=2 at"),
+    (lambda g, t, v: perevo.make_coefficients(g, t, D=1.0, a=v), np.nan,
+     "coefficient a is not finite at"),
+    (lambda g, t, v: perevo.make_coefficients(g, t, D=1.0, c0=v), -np.inf,
+     "coefficient c0 is not finite at"),
+    (lambda g, t, v: perevo.make_weight(g, t, v), -0.5, "weight sample -0.5 is negative at"),
+    (lambda g, t, v: perevo.make_weight(g, t, v), np.inf, "weight is not finite at"),
+])
+def test_a_bad_constant_is_reported_as_its_full_lattice_is(build, value, text):
+    # a constant is checked through its one value; the text, location
+    # included, is the one its materialized lattice gives
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 4), perevo.TimeGrid(1.0, 4)
+    messages = []
+    for v in (value, np.full((6, 5), value)):
+        with pytest.raises(InvariantError) as err:
+            build(grid, tgrid, v)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == f"{text} (x=0, t=0) [node 0, level 0]"
 
 
 def test_nonelliptic_diffusion_rejected():
@@ -287,6 +312,54 @@ def test_builtin_digests_at_refined_lattices(name, n, M, digest):
     assert perevo.builtin_scenario(name, n=n, M=M).digest() == digest
 
 
+def _layouts(shape, rng):
+    """One lattice of each memory layout a ProblemSpec may hold."""
+    base = rng.uniform(0.5, 2.0, shape)
+    return [
+        base,                                        # C-ordered
+        np.asfortranarray(base),
+        np.broadcast_to(base[0], shape),             # broadcast by row: strides (0, 8)
+        np.broadcast_to(base[:, :1], shape),         # broadcast by column: strides (8, 0)
+        np.broadcast_to(np.float64(1.5), shape),     # a scalar: every stride 0
+        np.broadcast_to(np.float64(-0.0), shape),
+    ]
+
+
+# lattice sizes against DIGEST_CHUNK = 8192 samples: fewer, exactly one
+# chunk, one chunk and a remainder, exactly two chunks
+@pytest.mark.parametrize("n, M", [(10, 20), (62, 127), (100, 100), (126, 127)])
+def test_digest_matches_a_row_by_row_reference(n, M):
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, n), perevo.TimeGrid(1.0, M)
+    lattices = _layouts((n + 2, M + 1), np.random.default_rng(n))
+    assert perevo.model.DIGEST_CHUNK == 8192
+    # every layout takes every place: D, a, b, c0 and the weight
+    for k in range(len(lattices)):
+        D, a, b, c0, m = (lattices[(k + i) % len(lattices)] for i in range(5))
+        spec = perevo.ProblemSpec(grid, tgrid, perevo.CoefficientField(D, a, b, c0, 0.5),
+                                  perevo.BoundarySpec("dirichlet"), perevo.WeightField(m, 1e-15))
+        assert spec.digest() == oracles.row_digest(spec)
+
+
+_SHARED = np.full((6, 5), 0.5)  # a module-level lattice at n = 4, M = 4
+
+
+def test_a_callers_lattice_is_copied_and_a_builders_is_kept():
+    grid, tgrid = perevo.Grid1D(0.0, 1.0, 4), perevo.TimeGrid(1.0, 4)
+    lattices = (perevo.make_weight(grid, tgrid, lambda x, t: _SHARED).values,
+                perevo.model.sample_field(lambda x, t: _SHARED, grid, tgrid),
+                perevo.make_weight(grid, tgrid, _SHARED).values)
+    try:
+        _SHARED[2, 3] = 7.0
+        for lattice in lattices:
+            assert not np.shares_memory(lattice, _SHARED) and np.all(lattice == 0.5)
+    finally:
+        _SHARED[2, 3] = 0.5
+    built = perevo.model.du_peng_weight(grid, tgrid)
+    assert perevo.make_weight(grid, tgrid, built).values is not built
+    kept = perevo.make_weight(grid, tgrid, built, copy=False).values
+    assert kept is built and not kept.flags.writeable
+
+
 CONSTANTS_DOC = """
 [grid]
 x_lo = 0.0
@@ -362,10 +435,9 @@ def test_a_broadcast_argument_is_stored_as_one_value():
 
 def test_counterexample_at_refine_4_builds_in_bounded_memory():
     # n = 243, M = 2400 is `check counterexample --refine 4`; one lattice is
-    # 4.7 MB.  Measured with tracemalloc: 10.0 MB peak and 4.7 MB kept with
-    # the constants stored as broadcasts and no argmin on the success path
-    # (argmin copies its lattice: 14.1 MB peak with it); 28.8 MB and 23.5 MB
-    # with all five lattices materialized
+    # 4.7 MB.  Measured with tracemalloc: 5.3 MB peak and 4.7 MB kept with
+    # the constants stored as broadcasts and the weight builder's np.where
+    # lattice kept, not copied (10.0 MB peak with one copy of it)
     perevo.builtin_scenario("counterexample", n=20, M=40)
     tracemalloc.start()
     try:
@@ -374,7 +446,7 @@ def test_counterexample_at_refine_4_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert spec.coeff.D.shape == (245, 2401)
-    assert peak < 11e6 and kept < 8e6
+    assert peak < 5.5e6 and kept < 5e6
 
 
 def test_builtin_rejects_a_keyword_it_does_not_take():
