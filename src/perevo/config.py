@@ -229,8 +229,7 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     )
 
     wl = _lattice(cp, "weight", "weight", grid, tgrid, 0.0, weight_ok=True)
-    weight = model.make_weight(grid, tgrid, m=wl, delta=_number(cp, "weight", "delta"),
-                               copy=False)
+    weight = model._make_weight(grid, tgrid, wl, _number(cp, "weight", "delta"), copy=False)
     return model.make_problem(grid, tgrid, coeff, bc, weight)
 
 

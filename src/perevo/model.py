@@ -114,14 +114,19 @@ class TimeGrid:
         return self.dt * (np.arange(self.M + 1) % self.M)
 
 
-def sample_field(fn, grid: Grid1D, tgrid: TimeGrid, copy=True) -> np.ndarray:
+def sample_field(fn, grid: Grid1D, tgrid: TimeGrid) -> np.ndarray:
     """Sample fn(x, t) on the full lattice with t reduced modulo the period.
 
-    fn must broadcast over numpy arrays; the result is a C-ordered
-    (n+2, M+1) float array.  It is a new array, unless copy is False and fn
-    returned such an array itself: the weight builders below pass False for
-    the np.where lattice they have just allocated.
+    fn must broadcast over numpy arrays; the result is a new C-ordered
+    (n+2, M+1) array.
     """
+    return _sample_field(fn, grid, tgrid, copy=True)
+
+
+def _sample_field(fn, grid: Grid1D, tgrid: TimeGrid, copy: bool) -> np.ndarray:
+    """sample_field, except that with copy False a C-ordered (n+2, M+1) float
+    array returned by fn is kept: the weight builders below pass False for
+    the np.where lattice they have just allocated."""
     x = grid.nodes()[:, None]
     t = tgrid.reduced_levels()[None, :]
     shape = (grid.n + 2, tgrid.M + 1)
@@ -170,9 +175,10 @@ class CoefficientField:
 
 
 def _materialize(f, grid, tgrid, copy=True) -> np.ndarray:
-    """Read-only (n+2, M+1) lattice of a callable's samples or of an array,
-    copied unless copy is False; a number, or an array that broadcasts one
-    number (every stride 0), becomes a broadcast of that number, stored once."""
+    """Read-only C-ordered (n+2, M+1) lattice of a callable's samples or of an
+    array, copied unless copy is False and the array is already C-ordered; a
+    number, or an array that broadcasts one number (every stride 0), becomes a
+    broadcast of that number, stored once."""
     shape = (grid.n + 2, tgrid.M + 1)
     if callable(f):
         out = sample_field(f, grid, tgrid)
@@ -182,7 +188,7 @@ def _materialize(f, grid, tgrid, copy=True) -> np.ndarray:
             raise InvariantError(f"sample lattice has shape {arr.shape}, expected {shape}")
         if not any(arr.strides):
             return np.broadcast_to(arr.flat[0], shape)
-        out = arr.copy() if copy else arr
+        out = arr if not copy and arr.flags.c_contiguous else arr.copy()
     out.flags.writeable = False
     return out
 
@@ -267,10 +273,15 @@ class WeightField:
     delta: float
 
 
-def make_weight(grid, tgrid, m=0.0, delta=None, copy=True) -> WeightField:
-    """Materialize and check a weight lattice as make_coefficients does.  An
-    array m is copied unless copy is False, which hands over an array the
-    caller has just allocated and never writes again."""
+def make_weight(grid, tgrid, m=0.0, delta=None) -> WeightField:
+    """Materialize and check a weight lattice as make_coefficients does."""
+    return _make_weight(grid, tgrid, m, delta, copy=True)
+
+
+def _make_weight(grid, tgrid, m, delta, copy: bool) -> WeightField:
+    """make_weight, except that with copy False a C-ordered array m is kept,
+    not copied: builtin_scenario and config.build_problem pass False for the
+    lattice a weight builder has just allocated and never writes again."""
     vals = _materialize(m, grid, tgrid, copy)
     samples = _samples(vals)
     if not np.all(np.isfinite(samples)):
@@ -396,7 +407,7 @@ def du_peng_weight(grid: Grid1D, tgrid: TimeGrid, u_lo=0.0, u_hi=0.5, t_switch=0
             f"subinterval ({u_lo}, {u_hi}) not inside ({grid.x_lo}, {grid.x_hi})")
     if not (0.0 < t_switch < tgrid.T):
         raise BadScenarioParams(f"switch time {t_switch} not inside (0, {tgrid.T})")
-    return sample_field(
+    return _sample_field(
         lambda x, t: np.where((t >= t_switch) & ~((u_lo <= x) & (x < u_hi)), 1.0, 0.0),
         grid, tgrid, copy=False)
 
@@ -407,7 +418,7 @@ def box_weight(grid: Grid1D, tgrid: TimeGrid, x1, x2, t1, t2):
         raise BadScenarioParams(f"box needs x1 < x2, got [{x1}, {x2})")
     if not t1 < t2:
         raise BadScenarioParams(f"box needs t1 < t2, got [{t1}, {t2})")
-    return sample_field(
+    return _sample_field(
         lambda x, t: np.where((x1 <= x) & (x < x2) & (t1 <= t) & (t < t2), 1.0, 0.0),
         grid, tgrid, copy=False)
 
@@ -461,8 +472,8 @@ def staircase_blocked(xs, ts, x, t):
 def staircase_weight(grid: Grid1D, tgrid: TimeGrid, xs=None, ts=None):
     """Weight samples, one on the staircase's blocks (see staircase_geometry)."""
     xs, ts = staircase_geometry(grid, tgrid, xs, ts)
-    return sample_field(lambda x, t: np.where(staircase_blocked(xs, ts, x, t), 1.0, 0.0),
-                        grid, tgrid, copy=False)
+    return _sample_field(lambda x, t: np.where(staircase_blocked(xs, ts, x, t), 1.0, 0.0),
+                         grid, tgrid, copy=False)
 
 
 #: keywords every builtin takes, with the defaults the rows below override
@@ -515,4 +526,4 @@ def builtin_scenario(name: str, **params) -> ProblemSpec:
         raise TypeError(f"{name} got unexpected keyword arguments {sorted(kw)}")
     m = 0.0 if weight is None else weight(grid, tgrid, **kw)
     coeff, bc = make_coefficients(grid, tgrid, lat["D"]), BoundarySpec(lat["bc"])
-    return make_problem(grid, tgrid, coeff, bc, make_weight(grid, tgrid, m, copy=False))
+    return make_problem(grid, tgrid, coeff, bc, _make_weight(grid, tgrid, m, None, copy=False))

@@ -344,10 +344,23 @@ def test_check_refine_builds_the_target_once(tmp_path, monkeypatch):
     assert built == [("du_peng", {"n": 129, "M": 1024}), (cfg, {"n": 33, "M": 64}), (cfg, {})]
 
 
+def test_check_refine_reports_a_bad_weight_on_the_refined_lattice(tmp_path, capsys):
+    # the target is only built on the refined lattice, so the location is
+    # that lattice's cell: x = 0.5 is node 17 at n = 33 (node 9, x = 0.529,
+    # is the first negative cell at the document's own n = 16)
+    cfg = _cfg(tmp_path, weight="sum(indicator_box(0.0, 0.5, 0.0, 1.0), -0.5)")
+    assert main(["check", cfg, "--out", str(tmp_path / "a")]) == 2
+    assert capsys.readouterr().err == \
+        "error: weight sample -0.5 is negative at (x=0.529412, t=0) [node 9, level 0]\n"
+    assert main(["check", cfg, "--refine", "2", "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err == \
+        "error: weight sample -0.5 is negative at (x=0.5, t=0) [node 17, level 0]\n"
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_manifest_digest_thread_never_outlives_the_command(tmp_path, monkeypatch, workers):
-    # with more than one usable CPU the digest is hashed on its own thread,
-    # with one on the calling thread; the manifest holds the same value
+    # with more than one usable CPU check hashes the digest on its own
+    # thread, with one on the calling thread; the manifest holds the same value
     monkeypatch.setattr(cli, "column_workers", lambda: workers)
     hashed_on = []
 
@@ -362,8 +375,8 @@ def test_the_manifest_digest_thread_never_outlives_the_command(tmp_path, monkeyp
     assert main(["kernel", "heat_baseline", "--s", "0.9", "--t", "0.1",
                  "--out", str(tmp_path / "c")]) == 2
     assert threading.enumerate() == before
-    on_caller = [t is threading.current_thread() for t in hashed_on]
-    assert on_caller == ([True] * 2 if workers == 1 else [False] * 3)
+    # check hashes on the pool's thread; the kernel exits before its manifest
+    assert [t is threading.current_thread() for t in hashed_on] == [workers == 1] * 2
     manifest = json.loads((tmp_path / "b" / "run_manifest.json").read_text())
     assert manifest["digest"] == oracles.row_digest(perevo.builtin_scenario("counterexample"))
 

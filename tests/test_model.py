@@ -356,8 +356,12 @@ def test_a_callers_lattice_is_copied_and_a_builders_is_kept():
         _SHARED[2, 3] = 0.5
     built = perevo.model.du_peng_weight(grid, tgrid)
     assert perevo.make_weight(grid, tgrid, built).values is not built
-    kept = perevo.make_weight(grid, tgrid, built, copy=False).values
+    kept = perevo.model._make_weight(grid, tgrid, built, None, copy=False).values
     assert kept is built and not kept.flags.writeable
+    # a lattice that is not C-ordered is still copied into C order
+    for layout in (np.asfortranarray(built), np.broadcast_to(built[0], built.shape)):
+        kept = perevo.model._make_weight(grid, tgrid, layout, None, copy=False).values
+        assert kept.flags.c_contiguous and not np.shares_memory(kept, layout)
 
 
 CONSTANTS_DOC = """
@@ -437,7 +441,10 @@ def test_counterexample_at_refine_4_builds_in_bounded_memory():
     # n = 243, M = 2400 is `check counterexample --refine 4`; one lattice is
     # 4.7 MB.  Measured with tracemalloc: 5.3 MB peak and 4.7 MB kept with
     # the constants stored as broadcasts and the weight builder's np.where
-    # lattice kept, not copied (10.0 MB peak with one copy of it)
+    # lattice kept, not copied (10.0 MB peak with one copy of it).  The peak
+    # bound leaves room for numpy's temporaries inside np.where and
+    # broadcast_to, which differ between numpy versions, and still fails
+    # with that copy
     perevo.builtin_scenario("counterexample", n=20, M=40)
     tracemalloc.start()
     try:
@@ -446,7 +453,7 @@ def test_counterexample_at_refine_4_builds_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert spec.coeff.D.shape == (245, 2401)
-    assert peak < 5.5e6 and kept < 5e6
+    assert peak < 7e6 and kept < 5e6
 
 
 def test_builtin_rejects_a_keyword_it_does_not_take():
