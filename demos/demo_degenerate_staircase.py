@@ -34,7 +34,7 @@ with warnings.catch_warnings():
 print(f"\n{'penalty':>10} {'mu':>14} {'|P| max':>12}")
 for r in records:
     print(f"{r.lam:10g} {r.mu:14.4f} {np.abs(r.monodromy).max():12.3e}")
-print("\nclassified divergent:", perevo.classify_divergent(records))
+print("\nhard-wall limit eigenvalue mu_inf:", lim.mu_inf)
 
 # a compact picture of the weight: '#' = penalized, '.' = free
 text = perevo.mask_text(mask).splitlines()

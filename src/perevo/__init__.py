@@ -8,7 +8,7 @@ from .model import (Grid1D, TimeGrid, CoefficientField, BoundarySpec, WeightFiel
                     ProblemSpec, builtin_scenario, make_coefficients, make_weight,
                     make_problem, sample_sup_norms, coercivity_shift)
 from .config import build_problem, parse_lambda_list
-from .operator import assemble_A, mesh_peclet_ok, garding_audit
+from .operator import assemble_A, garding_audit
 from .evolve import (StepFactorization, EnergyReport, ForcingField,
                      prepare, evolve_state, mild_solution, energy_report,
                      discrete_v_norm_sq)
@@ -19,7 +19,7 @@ from .spectral import (MonodromyMatrix, SpectralResult, PeriodicEigenfunction,
                        periodic_eigenfunction)
 from .limitflow import (SweepRecord, LimitMonodromy, ConvergenceReport, VanishingRate,
                         sweep, limit_monodromy, compare_to_limit, vanishing_rate,
-                        du_peng_pieces, classify_divergent)
+                        du_peng_pieces)
 from .admissibility import (SpaceTimeMask, PathWitness, AdmissibilityReport,
                             build_mask, mask_text, check_regular_support, slices,
                             components, check_assumption, validate_witness)

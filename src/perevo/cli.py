@@ -47,8 +47,7 @@ from .errors import (InsufficientData, NoConvergence, PerevoError, SchemaError, 
                      TrivialLimitComparison)
 from .evolve import column_workers, distinct_steps, prepare, trajectory_rows
 from .kernel import envelope_violation, fit_gaussian, kernel_matrix, check_monotone_in_lambda
-from .limitflow import (classify_divergent, compare_to_limit, limit_monodromy, sweep,
-                        vanishing_rate)
+from .limitflow import compare_to_limit, limit_monodromy, sweep, vanishing_rate
 from .model import SCENARIO_NAMES, builtin_lattice, builtin_scenario
 from .operator import garding_audit, stencil_bands
 from .spectral import eigengap, monodromy, periodic_eigenfunction, spectral_radius
@@ -166,10 +165,8 @@ def cmd_sweep(args) -> int:
     iofmt.atomic_write(os.path.join(outdir, "seps_vs_lambda.dat"), "".join(
         f"{iofmt.fmt(r.lam)} {iofmt.fmt(r.s_eps_mass)}\n" for r in records if r.valid))
 
-    # the limit oracle is authoritative for the divergence call; the per-decade
-    # growth heuristic only applies when its step matrices are singular
-    divergent = (not math.isfinite(oracle.mu_inf)) if oracle is not None \
-        else classify_divergent(records)
+    # only the limit oracle decides divergence: null when its steps are singular
+    divergent = None if oracle is None else not math.isfinite(oracle.mu_inf)
     report = {"lambda_max": records[-1].lam if records else None,
               "divergent": divergent,
               "n_records": len(records)}

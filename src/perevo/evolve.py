@@ -6,9 +6,11 @@ One fully implicit (backward Euler) step advances level j to j+1 through
     L_j = I + dt (A_{j+1} + lam M_{j+1}),
 
 where M_j is the diagonal of weight samples at level j.  The penalty sits
-inside L_j, so arbitrarily large lam never destabilizes the step.  With the
-nonpositive off-diagonal sign pattern each L_j is an M-matrix and the step
-map is entrywise nonnegative at every penalty; prepare() certifies this.
+inside L_j, so arbitrarily large lam never destabilizes the step.  When every
+L_j is a nonsingular M-matrix, every step map L_j^-1 is entrywise
+nonnegative; nonpositive off-diagonals alone do not make it so.  prepare()
+certifies this exactly: a matrix with nonpositive off-diagonals is a
+nonsingular M-matrix if and only if some v > 0 has L v > 0.
 
 prepare() builds each distinct L_j once and certifies that it has no zero
 pivot.  The weights of interest are piecewise constant in time, so the
@@ -67,7 +69,7 @@ from scipy.linalg import cython_lapack
 
 from .errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from .model import ProblemSpec, coercivity_shift
-from .operator import mesh_peclet_ok, stencil_bands
+from .operator import stencil_bands
 
 __all__ = [
     "StepFactorization",
@@ -118,9 +120,9 @@ class StepFactorization:
     levels j+1 lie in one run of level_runs share one rows array, the very
     same array.  dgtsv overwrites the rows it solves with, so every
     evolution, and every column block of one, steps on its own copy.
-    positivity certifies that every step map is entrywise nonnegative: the
-    off-diagonals are nonpositive at every level and every L_j has positive
-    row sums (an M-matrix).
+    positivity certifies that every step map is entrywise nonnegative: every
+    L_j that is solved has nonpositive off-diagonals, v = L_j^-1 1 > 0 and
+    L_j v > 0 beyond its rounding error, so L_j is a nonsingular M-matrix.
     log_norms[j] is ln ||L_j||_inf: step j shrinks no state's largest |entry|
     by more than that factor (evolve_rescaled).
     active is None, or the (M+1, n) hard-wall mask prepare() was given: step
@@ -132,7 +134,6 @@ class StepFactorization:
     lam: float
     rows: tuple = field(repr=False)  # M entries: a repr would print every row
     positivity: bool
-    peclet_ok: bool
     log_norms: tuple = field(repr=False)
     active: np.ndarray | None = field(default=None, repr=False)
     _kernel_slot: list = field(default_factory=lambda: [None], init=False, repr=False,
@@ -245,15 +246,16 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     level j, turns the steps into hard-wall steps (see StepFactorization):
     L_j keeps a coupling only between two nodes active at level j+1 and has
     an identity row at every inactive one.  The positivity certificate is
-    that of the unmasked steps, which implies it for the masked ones: cutting
-    a nonpositive coupling or replacing a row by an identity row keeps the
-    sign pattern and the positive row sums.
+    that of the steps that are solved, masked ones included.
 
     The stencil, the step matrices, their checks and the certificates are
-    evaluated once per run of identical levels (level_runs).  The pivot
-    certificate is one dgtsv solve per run that some step enters, on a copy
-    of its rows: the elimination every later step repeats on those rows
-    finds no zero pivot.
+    evaluated once per run of identical levels (level_runs).  Both
+    certificates come from one dgtsv solve per run that some step enters, on
+    a copy of its rows and the ones vector.  It finds no zero pivot in the
+    elimination every later step repeats on those rows, and it gives
+    v = L_j^-1 1 for the M-matrix test: nonpositive off-diagonals, v > 0 and
+    L_j v > 4 eps |L_j| v.  When the test fails, a warning names the first
+    step and node where it does.
     """
     if lam < 0:
         raise InvariantError(f"penalty must be >= 0, got {lam}")
@@ -277,16 +279,19 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     finite = np.isfinite(dl).all(1) & np.isfinite(d).all(1) & np.isfinite(du).all(1)
     bands = np.concatenate((dl, d, du), axis=1)  # row r: the rows of run r
     bands.flags.writeable = False
-    work, zero = np.empty(3 * n - 2), np.zeros(n)  # both live as long as args
-    args, info = _dgtsv_args(work, zero)
-    for r, level in enumerate(starts[used].tolist()):
-        step = max(level - 1, 0)  # the first step into this run
+    work, x = np.empty(3 * n - 2), np.empty(n)  # both live as long as args
+    args, info = _dgtsv_args(work, x)
+    first_steps = [max(level - 1, 0) for level in starts[used].tolist()]  # into each run
+    v = np.empty_like(d)  # row r: L^-1 1 for the rows of run r
+    for r, step in enumerate(first_steps):
         if not finite[r]:
             raise SingularStep(f"non-finite step matrix at step {step}")
         work[:] = bands[r]
+        x[:] = 1.0
         _dgtsv(*args)
         if info.value > 0:
             raise SingularStep(f"factorization failed at step {step}: zero pivot {info.value}")
+        v[r] = x
     per_run = tuple(bands)
     row_sums = np.abs(d)  # of |L_j|, per run
     row_sums[:, 1:] += np.abs(dl)
@@ -296,17 +301,28 @@ def prepare(spec: ProblemSpec, lam: float, active: np.ndarray | None = None) -> 
     rows = tuple(per_run[r] for r in step_runs)
     log_norms = tuple(log_norm[r] for r in step_runs)
 
-    peclet = mesh_peclet_ok(spec)
-    m_pattern = np.all(lower <= 0.0) and np.all(upper <= 0.0)
-    dominant = np.all(1.0 + dt * (lower[used] + diag[used] + upper[used] + lam * w[used]) > 0.0)
-    positivity = bool(m_pattern and dominant)
-    if not peclet:
-        warnings.warn("mesh-Peclet condition violated: advection too strong for this grid, "
-                      "sign pattern and positivity are not certified", stacklevel=2)
-    elif not positivity:
-        warnings.warn("positivity not certified: a step matrix is not an M-matrix with "
-                      "positive row sums; the period map may have negative entries", stacklevel=2)
-    return StepFactorization(spec, float(lam), rows, positivity, peclet, log_norms, active)
+    # L v and |L| v term by term; a NaN fails every comparison, so the test
+    # is written as what must hold
+    below, above = dl * v[:, :-1], du * v[:, 1:]
+    Lv = d * v
+    size = np.abs(Lv)
+    Lv[:, 1:] += below
+    Lv[:, :-1] += above
+    size[:, 1:] += np.abs(below)
+    size[:, :-1] += np.abs(above)
+    holds = (v > 0.0) & (Lv > 4.0 * np.finfo(float).eps * size)
+    holds[:, 1:] &= dl <= 0.0
+    holds[:, :-1] &= du <= 0.0
+    positivity = bool(holds.all())
+    if not positivity:
+        r = int(np.flatnonzero(~holds.all(axis=1))[0])
+        node = int(np.flatnonzero(~holds[r])[0]) + 1
+        step = first_steps[r]
+        warnings.warn(f"positivity not certified: step {step} (level {step} -> {step + 1}) "
+                      f"fails the M-matrix test at node {node} "
+                      f"(x = {spec.grid.nodes()[node]:.6g}); the period map may have negative "
+                      "entries", stacklevel=2)
+    return StepFactorization(spec, float(lam), rows, positivity, log_norms, active)
 
 
 def _check_state(F: StepFactorization, v: np.ndarray) -> np.ndarray:

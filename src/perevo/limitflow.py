@@ -52,11 +52,9 @@ __all__ = [
     "vanishing_rate",
     "du_peng_pieces",
     "MONOTONE_SLACK",
-    "DIVERGENCE_THRESHOLD",
 ]
 
-MONOTONE_SLACK = 1e-10       # allowed rounding slack in the monotone eigenvalue check
-DIVERGENCE_THRESHOLD = 0.5   # eigenvalue growth per decade that flags divergence
+MONOTONE_SLACK = 1e-10  # allowed rounding slack in the monotone eigenvalue check
 
 
 @dataclass
@@ -299,33 +297,6 @@ def sweep(spec: ProblemSpec, lambdas, eps: float, oracle: LimitMonodromy | None 
             warnings.warn(f"eigenvalue not monotone: mu({r2.lam:g}) = {r2.mu:.12g} "
                           f"< mu({r1.lam:g}) = {r1.mu:.12g}", stacklevel=2)
     return records
-
-
-def classify_divergent(records) -> bool:
-    """Heuristic divergence flag for a sweep without a finite limit value.
-
-    Divergent when a record is trivial (its power iterates fell below
-    spectral.R_FLOOR; a penalized map that only underflows is rescaled and
-    stays finite), or the eigenvalue still grows by more than the threshold
-    over the last decade of penalties.
-    """
-    valid = [r for r in records if r.valid]
-    if not valid:
-        return False
-    if any(r.trivial for r in valid):
-        return True
-    last = valid[-1]
-    if last.lam <= 0:
-        return False
-    target = last.lam / 10.0
-    prev = min((r for r in valid[:-1] if r.lam > 0),
-               key=lambda r: abs(math.log(r.lam / target)), default=None)
-    if prev is None:
-        return False
-    decades = math.log10(last.lam / prev.lam)
-    if decades <= 0:
-        return False
-    return (last.mu - prev.mu) / decades > DIVERGENCE_THRESHOLD
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ row i reads  (F_{i-1/2} - F_{i+1/2})/h + b_i (u_{i+1} - u_{i-1})/(2h) + c0_i u_i
 Face coefficients are arithmetic means of the adjacent node samples, which is
 exact for the constant-coefficient reference cases.  Advection stays centered,
 so the off-diagonals are -D/h^2 +- (a - b)/(2h), with D and a at the face and b
-at the node.  Both are nonpositive, the sign pattern the positivity machinery
-relies on, exactly when |a - b| * h <= 2 D.  The mesh-Peclet test
-max(|a|, |b|) * h <= 2 alpha does not imply this: with b = -a it allows
-|a - b| * h up to 4 alpha.
+at the node.  Both are nonpositive exactly when |a - b| * h <= 2 D.  That sign
+pattern is necessary for a nonnegative step map but not sufficient: a flux
+end with drift can keep it and still give a step that is not an M-matrix,
+which evolve.prepare's certificate tests.
 
 Dirichlet rows simply drop the coupling to the eliminated endpoint.  At a flux
 (Neumann/Robin) endpoint the missing face flux is replaced by the boundary
@@ -30,12 +30,11 @@ import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import DimensionMismatch
-from .model import ProblemSpec, coercivity_shift, sample_sup_norms
+from .model import ProblemSpec, coercivity_shift
 
 __all__ = [
     "stencil_bands",
     "assemble_A",
-    "mesh_peclet_ok",
     "garding_audit",
 ]
 
@@ -77,16 +76,6 @@ def assemble_A(spec: ProblemSpec, j: int):
     if not 0 <= j <= spec.tgrid.M:
         raise DimensionMismatch(f"time level {j} outside 0..{spec.tgrid.M}")
     return stencil_bands(spec, j)
-
-
-def mesh_peclet_ok(spec: ProblemSpec) -> bool:
-    """max(|a|, |b|) * h <= 2 alpha on the lattice.
-
-    This is not the stencil's sign condition |a - b| * h <= 2 D (see the
-    module docstring): it can hold while an off-diagonal is positive."""
-    a_sup, b_sup, _ = sample_sup_norms(spec.coeff)
-    drift = max(a_sup, b_sup)
-    return drift * spec.grid.h <= 2.0 * spec.coeff.alpha
 
 
 def garding_audit(spec: ProblemSpec) -> float:

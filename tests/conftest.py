@@ -5,8 +5,8 @@ import perevo
 from perevo.evolve import prepare
 from perevo.spectral import monodromy
 
-# Neumann ends with drift inside the mesh-Peclet bound (12 h = 1.71 <= 2):
-# the period map has entries of both signs and its two largest eigenvalues
+# Neumann ends with drift that makes the upper off-diagonals positive
+# (|a - b| h = 3.43 > 2 D): the period map has entries of both signs and its two largest eigenvalues
 # are a complex pair, so power iteration cannot converge on it
 STALL = """
 [grid]

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -98,8 +99,9 @@ weight = const(0)
 
 
 def test_eigen_warns_when_positivity_is_not_certified(tmp_path):
-    # Neumann ends with drift inside the mesh-Peclet bound: the period map
-    # has negative entries, and the run succeeds but says so on stderr
+    # Neumann ends with a = b: the off-diagonals are nonpositive, yet the
+    # steps are not M-matrices and the period map has negative entries; the
+    # run succeeds but says so on stderr
     cfg = tmp_path / "flux.cfg"
     cfg.write_text(FLUX)
     done = _fresh_python("-m", "perevo.cli", "eigen", str(cfg), "--out", str(tmp_path / "o"))
@@ -108,8 +110,33 @@ def test_eigen_warns_when_positivity_is_not_certified(tmp_path):
     assert "mu=9.0378" in done.stdout
     with pytest.warns(UserWarning, match="positivity not certified"):
         F = perevo.prepare(perevo.build_problem(str(cfg)), 0.0)
-    assert F.peclet_ok and not F.positivity
+    assert not F.positivity
     assert perevo.monodromy(F).P.min() < 0
+
+
+@pytest.mark.parametrize("doc, failure", [
+    pytest.param("flux_b0", None, id="flux_b0"),
+    pytest.param("flux_a_b_12", "step 0 (level 0 -> 1) fails the M-matrix test at node 1 "
+                                "(x = 0.0769231)", id="flux_a_b_12"),
+    pytest.param("stall_dirichlet", "step 0 (level 0 -> 1) fails the M-matrix test at node 1 "
+                                    "(x = 0.142857)", id="stall_dirichlet")])
+def test_the_certificate_holds_exactly_where_the_map_is_nonnegative(doc, failure, tmp_path,
+                                                                     request):
+    # nonpositive off-diagonals (both flux documents) do not make a step an
+    # M-matrix, and STALL's off-diagonals are not all nonpositive
+    text = {"flux_b0": FLUX.replace("b = 12.0", "b = 0.0"), "flux_a_b_12": FLUX}.get(doc)
+    if text is None:
+        with open(request.getfixturevalue("stall_cfg")) as f:
+            text = f.read().replace("bc = neumann", "bc = dirichlet")
+    cfg = tmp_path / "doc.cfg"
+    cfg.write_text(text)
+    spec = perevo.build_problem(str(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        F = perevo.prepare(spec, 0.0)
+    assert [str(w.message) for w in caught] == ([] if failure is None else [
+        f"positivity not certified: {failure}; the period map may have negative entries"])
+    assert F.positivity == (oracles.dense_period_map(F).min() >= 0.0) == (failure is None)
 
 
 def test_eigen_at_a_huge_penalty_exits_0_with_the_closed_form(tmp_path):
@@ -462,7 +489,7 @@ def test_sweep_without_oracle_when_its_step_is_singular(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "no hard-wall oracle" in err and "no penalty gave a valid row" in err
     rep = json.loads((out / "convergence_report.json").read_text())
-    assert "mu_inf" not in rep and rep["divergent"] is False and rep["n_records"] == 3
+    assert "mu_inf" not in rep and rep["divergent"] is None and rep["n_records"] == 3
 
 
 def test_config_weight_parameters_are_checked(tmp_path, capsys):

@@ -26,7 +26,7 @@ from scipy.linalg.lapack import dgtsv, dgttrf
 
 def test_prepare_certificate_baseline(heat_small):
     F = prepare(heat_small, 0.0)
-    assert F.positivity and F.peclet_ok
+    assert F.positivity
 
 
 def test_prepare_certificate_large_penalty(heat_small):
@@ -34,13 +34,13 @@ def test_prepare_certificate_large_penalty(heat_small):
     assert F.positivity
 
 
-def test_prepare_warns_on_peclet_violation():
+def test_prepare_warns_on_strong_advection():
     grid = perevo.Grid1D(0.0, 1.0, 8)
     tgrid = perevo.TimeGrid(1.0, 8)
     coeff = perevo.make_coefficients(grid, tgrid, 1.0, b=1000.0)
     spec = perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"),
                                perevo.make_weight(grid, tgrid, 0.0))
-    with pytest.warns(UserWarning, match="Peclet"):
+    with pytest.warns(UserWarning, match="positivity not certified"):
         F = prepare(spec, 0.0)
     assert not F.positivity
 
@@ -210,7 +210,7 @@ def test_binding_matches_scipy_dgtsv_bit_for_bit():
             dl, d, _ = _split(rows, n)
             swapped += bool(np.abs(dl[0]) > np.abs(d[0]))
     assert swapped >= 300 and singular >= 10
-    with pytest.warns(UserWarning, match="Peclet"):
+    with pytest.warns(UserWarning, match="positivity not certified"):
         F = prepare(_strong_advection(9, 16), 2.0)  # every step interchanges rows
     for rows in F.rows:
         for b in (rng.standard_normal(9), rng.standard_normal((9, 7))):
@@ -249,8 +249,8 @@ def test_a_capsule_of_another_signature_fails_the_binding(monkeypatch):
 
 
 def _strong_advection(n, M):
-    """A problem far past the mesh-Peclet bound: |dl| > |d| in every step
-    matrix, so dgttrf interchanges rows."""
+    """A problem with advection far too strong for its grid: |dl| > |d| in
+    every step matrix, so dgttrf interchanges rows."""
     grid, tgrid = perevo.Grid1D(0.0, 1.0, n), perevo.TimeGrid(1.0, M)
     coeff = perevo.make_coefficients(grid, tgrid, 1.0, b=1000.0)
     return perevo.make_problem(grid, tgrid, coeff, perevo.BoundarySpec("dirichlet"),
@@ -261,7 +261,7 @@ def _strong_advection(n, M):
 def test_row_interchanges_keep_the_bits_on_every_path(mask, monkeypatch):
     spec = _strong_advection(9, 16)
     active = None if mask is None else mask(spec)
-    with pytest.warns(UserWarning, match="Peclet"):
+    with pytest.warns(UserWarning, match="positivity not certified"):
         F = prepare(spec, 2.0, active)
     n = spec.grid.n
     assert any((dgttrf(*_split(rows, n))[-2] != np.arange(1, n + 1)).any() for rows in F.rows)

@@ -10,8 +10,8 @@ from perevo import evolve, limitflow
 from perevo.errors import (InsufficientData, InvariantError, NoConvergence, SingularStep,
                            TrivialLimitComparison)
 from perevo.evolve import evolve_state, prepare
-from perevo.limitflow import (classify_divergent, compare_to_limit, du_peng_pieces,
-                              limit_monodromy, sweep, vanishing_rate)
+from perevo.limitflow import (compare_to_limit, du_peng_pieces, limit_monodromy, sweep,
+                              vanishing_rate)
 from perevo.spectral import monodromy, spectral_radius
 
 
@@ -197,7 +197,6 @@ def test_staircase_sweep_decay_and_divergence():
     pmax = [float(np.abs(r.monodromy).max()) for r in records]
     assert all(b <= a + 1e-12 for a, b in zip(pmax, pmax[1:]))
     assert pmax[-1] <= 1e-3
-    assert classify_divergent(records)
     with pytest.raises(TrivialLimitComparison) as err:
         compare_to_limit(records, lim)
     assert len(err.value.decay) == len(records)

@@ -84,13 +84,10 @@ def test_m_matrix_pattern_and_row_sums_neumann():
     bands = perevo.assemble_A(spec, 1)
     assert np.all(bands[0] <= 0.0) and np.all(bands[2] <= 0.0)
     assert np.allclose(_row_sums(bands), 0.0, atol=1e-12)
-    # mesh-Peclet satisfied here
-    assert perevo.mesh_peclet_ok(spec)
 
 
 def test_peclet_violation_detected():
     spec = _spec(n=4, b=1000.0)
-    assert not perevo.mesh_peclet_ok(spec)
     lower, _, upper = perevo.assemble_A(spec, 0)
     assert not (np.all(lower <= 0.0) and np.all(upper <= 0.0))
 
