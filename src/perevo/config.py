@@ -152,8 +152,8 @@ def _eval_expr(node, grid, tgrid, key, weight_ok):
         return np.broadcast_to(np.float64(v), (grid.n + 2, tgrid.M + 1))
     if name == "sin_t":
         off, amp = _need_numbers("sin_t", args, 2)
-        return model.sample_field(lambda x, t: off + amp * np.sin(2.0 * math.pi * t / T),
-                                  grid, tgrid)
+        return model._sample_field(lambda x, t: off + amp * np.sin(2.0 * math.pi * t / T),
+                                   grid, tgrid, copy=False)
     if name == "indicator_box":
         return model.box_weight(grid, tgrid, *_need_numbers(name, args, 4))
     if name == "sum":
@@ -205,18 +205,19 @@ def build_problem(text_or_path: str, n=None, M=None) -> model.ProblemSpec:
     validated ProblemSpec.
 
     n and M, when given, replace the document's [grid] n and [time] M, as the
-    same keywords do for model.builtin_scenario.  The weight lattice the
-    document's expression allocates is kept, not copied.
+    same keywords do for model.builtin_scenario.  The coefficient and weight
+    lattices the document's expressions allocate are kept, not copied.
     """
     cp, grid, tgrid = _document(text_or_path, n, M)
 
-    coeff = model.make_coefficients(
+    coeff = model._make_coefficients(
         grid, tgrid,
         D=_lattice(cp, "coefficients", "D", grid, tgrid, 1.0),
         a=_lattice(cp, "coefficients", "a", grid, tgrid, 0.0),
         b=_lattice(cp, "coefficients", "b", grid, tgrid, 0.0),
         c0=_lattice(cp, "coefficients", "c0", grid, tgrid, 0.0),
         alpha=_number(cp, "coefficients", "alpha"),
+        copy=False,
     )
 
     kind = cp.get("boundary", "bc").strip().lower()

@@ -31,8 +31,9 @@ at any intermediate level reproduces the direct result bit for bit.  Every
 evolution steps one Fortran-ordered copy of its state in place, and every
 step is one LAPACK dgtsv solve across all columns at once, on a copy of the
 rows of L_j (dgtsv overwrites the rows it is given).  dgtsv is called
-through the function pointer that scipy.linalg.cython_lapack exports, with
-ctypes, which releases the GIL for the call.  A matrix state steps in a
+through the function pointer that scipy.linalg.cython_lapack exports, which
+_lapack loads without the scipy.linalg package, with ctypes, which releases
+the GIL for the call.  A matrix state steps in a
 buffer whose columns start n | 1 numbers apart: at a power-of-two stride
 every column of a block maps to the same few L1 cache sets.  The columns of
 a matrix state evolve independently, so a wide matrix is cut into contiguous
@@ -59,14 +60,13 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
+from ._lapack import bind
 from .errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from .model import ProblemSpec, coercivity_shift
 from .operator import stencil_bands
@@ -155,34 +155,8 @@ class StepFactorization:
 #: dgtsv's C signature, (n, nrhs, dl, d, du, b, ldb, info), with double as d
 DGTSV_SIGNATURE = "void (int *, int *, d *, d *, d *, d *, int *, int *)"
 
-
-def _bind_dgtsv():
-    """LAPACK dgtsv, from the capsule scipy.linalg.cython_lapack exports, as a
-    ctypes function, which releases the GIL for every call.
-
-    The capsule is named by its C signature; any other signature than
-    DGTSV_SIGNATURE fails the import.  The function declares no argument
-    types, which ctypes would convert on every call (about 1 us a step,
-    enough to make a lone vector step slower than through scipy's own
-    wrapper): only _dgtsv_args builds its arguments, once per evolution,
-    from buffers it has checked."""
-    capsule = cython_lapack.__pyx_capi__["dgtsv"]
-    # own function objects, so ctypes.pythonapi's shared ones keep their types
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    name = get_name(capsule)
-    signature = re.sub(r"\b(?:__pyx_t_\w*_d|double)\b", "d", name.decode())
-    if signature != DGTSV_SIGNATURE:
-        raise ImportError(f"scipy.linalg.cython_lapack exports dgtsv as {name.decode()!r}, "
-                          f"not as {DGTSV_SIGNATURE!r}")
-    dgtsv = ctypes.CFUNCTYPE(None)(get_pointer(capsule, name))
-    dgtsv.argtypes = None
-    return dgtsv
-
-
-_dgtsv = _bind_dgtsv()
+# only _dgtsv_args builds its arguments, once per evolution, from buffers it has checked
+_dgtsv = bind("dgtsv", DGTSV_SIGNATURE)
 
 
 def _dgtsv_args(bands: np.ndarray, b: np.ndarray):

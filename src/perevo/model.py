@@ -126,7 +126,8 @@ def sample_field(fn, grid: Grid1D, tgrid: TimeGrid) -> np.ndarray:
 def _sample_field(fn, grid: Grid1D, tgrid: TimeGrid, copy: bool) -> np.ndarray:
     """sample_field, except that with copy False a C-ordered (n+2, M+1) float
     array returned by fn is kept: the weight builders below pass False for
-    the np.where lattice they have just allocated."""
+    the np.where lattice they have just allocated, and config for the
+    lattices of its expressions."""
     x = grid.nodes()[:, None]
     t = tgrid.reduced_levels()[None, :]
     shape = (grid.n + 2, tgrid.M + 1)
@@ -199,10 +200,14 @@ def make_coefficients(grid, tgrid, D, a=0.0, b=0.0, c0=0.0, alpha=None) -> Coeff
     If alpha is omitted it is set to the smallest D sample.  Raises
     InvariantError when a sample is non-finite or D drops below alpha.
     """
-    def mat(f):
-        return _materialize(f, grid, tgrid)
+    return _make_coefficients(grid, tgrid, D, a, b, c0, alpha, copy=True)
 
-    Dl, al, bl, cl = mat(D), mat(a), mat(b), mat(c0)
+
+def _make_coefficients(grid, tgrid, D, a, b, c0, alpha, copy: bool) -> CoefficientField:
+    """make_coefficients, except that with copy False C-ordered arrays are
+    kept, not copied: config.build_problem passes False for the lattices its
+    expressions have just allocated and never writes again."""
+    Dl, al, bl, cl = (_materialize(f, grid, tgrid, copy) for f in (D, a, b, c0))
     for name, arr in (("D", Dl), ("a", al), ("b", bl), ("c0", cl)):
         arr = _samples(arr)
         if not np.all(np.isfinite(arr)):

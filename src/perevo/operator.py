@@ -21,15 +21,19 @@ nearest unknown, so the pure-Neumann Laplacian keeps zero row sums.
 
 stencil_bands evaluates the stencil for all (or some) time levels in one
 vectorized pass, as (levels, n) band arrays; assemble_A returns the (n,) bands
-of a single level.
+of a single level.  garding_audit finds the smallest eigenvalue of each
+level's symmetric part with LAPACK dstebz (bisection), called through the
+function pointer scipy.linalg.cython_lapack exports (_lapack.bind).
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
+import ctypes
 
-from .errors import DimensionMismatch
+import numpy as np
+
+from ._lapack import bind
+from .errors import DimensionMismatch, InvariantError
 from .model import ProblemSpec, coercivity_shift
 
 __all__ = [
@@ -78,6 +82,53 @@ def assemble_A(spec: ProblemSpec, j: int):
     return stencil_bands(spec, j)
 
 
+#: dstebz's C signature, (range, order, n, vl, vu, il, iu, abstol, d, e, m,
+#: nsplit, w, iblock, isplit, work, iwork, info), with double as d
+DSTEBZ_SIGNATURE = ("void (char *, char *, int *, d *, d *, int *, int *, d *, d *, d *, "
+                    "int *, int *, d *, int *, int *, d *, int *, int *)")
+
+_dstebz = bind("dstebz", DSTEBZ_SIGNATURE)
+
+
+def _smallest_eigenvalues(diag: np.ndarray, off: np.ndarray, levels, tol: float) -> list:
+    """Smallest eigenvalue of the symmetric tridiagonal matrix with diagonal
+    diag[j] and off-diagonal off[j], for each j in levels, by dstebz to the
+    absolute tolerance tol.
+
+    diag and off are C-ordered float64 (levels, n) and (levels, n - 1)
+    arrays; anything else raises InvariantError, as dstebz would read past
+    their rows.  dstebz is asked as scipy.linalg.eigvalsh_tridiagonal(
+    select="i", select_range=(0, 0)) asks it: by index (RANGE 'I', IL = IU =
+    1, VL and VU unused and 0), in matrix order (ORDER 'E').  Like that
+    function, this raises ValueError on a sample that is not finite, on which
+    bisection has no bound, and LinAlgError when dstebz reports a failure."""
+    n = diag.shape[-1]
+    if not (diag.ndim == 2 and off.shape == (len(diag), n - 1)
+            and diag.dtype == off.dtype == np.float64
+            and diag.flags.c_contiguous and off.flags.c_contiguous):
+        raise InvariantError(f"dstebz needs C-ordered float64 (levels, n) and (levels, n - 1) "
+                             f"arrays, got {diag.shape} {diag.dtype} and {off.shape} {off.dtype}")
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(k * n, dtype=np.intc) for k in (1, 1, 3))
+    size, one, m, nsplit, info = (ctypes.c_int(v) for v in (n, 1, 0, 0, 0))
+    bound, abstol = ctypes.c_double(0.0), ctypes.c_double(tol)
+    fixed = [ctypes.byref(v) for v in (m, nsplit)] + [
+        ctypes.c_void_p(a.ctypes.data) for a in (w, iblock, isplit, work, iwork)]
+    smallest = []
+    for j in levels:
+        _dstebz(b"I", b"E", ctypes.byref(size), ctypes.byref(bound), ctypes.byref(bound),
+                ctypes.byref(one), ctypes.byref(one), ctypes.byref(abstol),
+                ctypes.c_void_p(diag[j].ctypes.data), ctypes.c_void_p(off[j].ctypes.data),
+                *fixed, ctypes.byref(info))
+        if info.value != 0 or m.value != 1:
+            raise np.linalg.LinAlgError(f"dstebz failed at level {j}: info {info.value}, "
+                                        f"{m.value} eigenvalues")
+        smallest.append(float(w[0]))
+    return smallest
+
+
 def garding_audit(spec: ProblemSpec) -> float:
     """min over levels j of lambda_min(sym A_j) + gamma0: the exact minimum of
     (u^T A_j u + gamma0 |u|^2) / |u|^2 over all vectors u and time levels j.
@@ -92,6 +143,5 @@ def garding_audit(spec: ProblemSpec) -> float:
     changed = np.ones(len(diag), dtype=bool)
     changed[1:] = (diag[1:] != diag[:-1]).any(axis=1) | (off[1:] != off[:-1]).any(axis=1)
     tol = 2 * np.finfo(float).tiny  # the absolute tolerance dstebz resolves most accurately
-    worst = min(eigvalsh_tridiagonal(diag[j], off[j], select="i", select_range=(0, 0), tol=tol)[0]
-                for j in np.flatnonzero(changed))
-    return float(worst) + coercivity_shift(spec.coeff)
+    worst = min(_smallest_eigenvalues(diag, off, np.flatnonzero(changed), tol))
+    return worst + coercivity_shift(spec.coeff)

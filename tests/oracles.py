@@ -200,6 +200,34 @@ def dense_period_map(F):
     return P
 
 
+def unpivoted_period_map(F):
+    """Period map from tridiagonal solves without pivoting, sign-exact on
+    nonsingular M-matrices.
+
+    Each step reads the three diagonals off dense_step_matrix, eliminates
+    from the top and back-substitutes.  When a step is a nonsingular
+    M-matrix, every pivot is positive and every multiplier and off-diagonal
+    nonpositive, so each update adds a nonnegative term to a nonnegative
+    entry: a nonnegative map stays nonnegative in floating point, rounding
+    included.  dense_period_map's partially pivoted solves give no such
+    guarantee.
+    """
+    spec = F.spec
+    P = np.eye(spec.grid.n)
+    for j in range(spec.tgrid.M):
+        L = dense_step_matrix(spec, F.lam, j + 1)
+        lower, diag, upper = np.diagonal(L, -1), np.diagonal(L), np.diagonal(L, 1)
+        pivots = diag.copy()
+        for i in range(1, len(diag)):  # forward elimination
+            factor = lower[i - 1] / pivots[i - 1]
+            pivots[i] = diag[i] - factor * upper[i - 1]
+            P[i] -= factor * P[i - 1]
+        P[-1] /= pivots[-1]
+        for i in range(len(diag) - 2, -1, -1):  # back substitution
+            P[i] = (P[i] - upper[i] * P[i + 1]) / pivots[i]
+    return P
+
+
 def dense_hard_wall_period_map(spec, active):
     """Hard-wall period map from dense restricted solves.
 

@@ -13,7 +13,7 @@ import pytest
 import oracles
 import perevo
 from dgtsv_hook import hook_dgtsv
-from perevo import evolve
+from perevo import _lapack, evolve, operator
 from perevo.errors import DimensionMismatch, InvariantError, LevelOrder, SingularStep
 from perevo.evolve import (ForcingField, energy_report, evolve_rescaled, evolve_state,
                            mild_solution, prepare, trajectory_rows)
@@ -240,12 +240,19 @@ def test_binding_rejects_buffers_it_cannot_step():
 
 def test_a_capsule_of_another_signature_fails_the_binding(monkeypatch):
     assert evolve.DGTSV_SIGNATURE == "void (int *, int *, d *, d *, d *, d *, int *, int *)"
-    other = SimpleNamespace(__pyx_capi__={"dgtsv": cython_lapack.__pyx_capi__["dgttrs"]})
-    monkeypatch.setattr(evolve, "cython_lapack", other)
+    assert operator.DSTEBZ_SIGNATURE == ("void (char *, char *, int *, d *, d *, int *, int *, "
+                                         "d *, d *, d *, int *, int *, d *, int *, int *, d *, "
+                                         "int *, int *)")
+    capi = cython_lapack.__pyx_capi__
+    other = SimpleNamespace(__pyx_capi__={"dgtsv": capi["dgttrs"], "dstebz": capi["dstein"]})
+    monkeypatch.setattr(_lapack, "_cython_lapack", lambda: other)
     with pytest.raises(ImportError, match="exports dgtsv as"):
-        evolve._bind_dgtsv()
+        _lapack.bind("dgtsv", evolve.DGTSV_SIGNATURE)
+    with pytest.raises(ImportError, match="exports dstebz as"):
+        _lapack.bind("dstebz", operator.DSTEBZ_SIGNATURE)
     monkeypatch.undo()
-    evolve._bind_dgtsv()
+    _lapack.bind("dgtsv", evolve.DGTSV_SIGNATURE)
+    _lapack.bind("dstebz", operator.DSTEBZ_SIGNATURE)
 
 
 def _strong_advection(n, M):

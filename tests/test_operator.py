@@ -5,9 +5,10 @@ import pytest
 
 import oracles
 import perevo
-from perevo import cli
-from perevo.errors import DimensionMismatch
+from perevo import cli, operator
+from perevo.errors import DimensionMismatch, InvariantError
 from perevo.operator import stencil_bands
+from scipy.linalg import eigvalsh_tridiagonal
 
 
 def _spec(n=3, bc="dirichlet", **kw):
@@ -152,6 +153,39 @@ def test_garding_audit_matches_dense_eigenvalues():
     assert int(np.argmin(smallest)) == 1
     gamma0 = perevo.coercivity_shift(spec.coeff)
     assert perevo.garding_audit(spec) == pytest.approx(min(smallest) + gamma0, rel=1e-12)
+
+
+def test_garding_audit_matches_scipy_bit_for_bit():
+    # dstebz through perevo's binding against scipy.linalg.eigvalsh_tridiagonal,
+    # the reference here, which calls the same routine through its own wrapper:
+    # seeded random symmetric tridiagonals (n = 1 and 2 among them, some with
+    # zero off-diagonals, which split the matrix), then every level of the
+    # three builtins
+    tol = 2 * np.finfo(float).tiny
+    rng = np.random.default_rng(30)
+    for trial in range(400):
+        n = (1, 2)[trial] if trial < 2 else int(rng.integers(1, 80))
+        diag = rng.standard_normal((1, n)) * 10.0 ** int(rng.integers(-3, 4))
+        off = rng.standard_normal((1, n - 1))
+        off[rng.random((1, n - 1)) < 0.2] = 0.0
+        (got,) = operator._smallest_eigenvalues(diag, off, [0], tol)
+        want = eigvalsh_tridiagonal(diag[0], off[0], select="i", select_range=(0, 0), tol=tol)
+        assert got.hex() == float(want[0]).hex(), (trial, n)
+    for name in ("du_peng", "counterexample", "heat_baseline"):
+        spec = perevo.builtin_scenario(name)
+        lower, diag, upper = stencil_bands(spec)
+        off = 0.5 * (upper[:, :-1] + lower[:, 1:])
+        worst = min(eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0), tol=tol)[0]
+                    for d, e in zip(diag, off))
+        want = float(worst) + perevo.coercivity_shift(spec.coeff)
+        assert perevo.garding_audit(spec).hex() == want.hex(), name
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        operator._smallest_eigenvalues(np.array([[1.0, np.inf]]), np.zeros((1, 1)), [0], tol)
+    for diag, off in ((np.ones((1, 3)), np.zeros((1, 3))), (np.ones((2, 3)), np.zeros((1, 2))),
+                      (np.ones((1, 3), dtype=np.float32), np.zeros((1, 2))),
+                      (np.ones((1, 6))[:, ::2], np.zeros((1, 2)))):
+        with pytest.raises(InvariantError, match="dstebz needs"):
+            operator._smallest_eigenvalues(diag, off, [0], tol)
 
 
 def test_matvec_matches_dense():
